@@ -77,7 +77,6 @@ func main() {
 	metrics := flag.String("metrics", "", "serve Prometheus /metrics and expvar /debug/vars on this address (empty = off)")
 	topicLanes := flag.Int("topic-lanes", 0, "per-producer lanes per topic queue (0 = default)")
 	laneDepth := flag.Int("lane-depth", 0, "per-lane topic capacity in messages, a power of two (0 = default)")
-	ingress := flag.Int("ingress-buffer", 0, "per-connection staging capacity in PRODUCE batches, a power of two (0 = default)")
 	deliverBatch := flag.Int("deliver-batch", 0, "max messages per DELIVER frame (0 = default)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown bound")
 	noInstrument := flag.Bool("no-instrument", false, "disable queue instrumentation and the metrics collectors")
@@ -128,7 +127,6 @@ func main() {
 		}
 	}
 	opts := broker.Options{
-		IngressBuffer:   *ingress,
 		DeliverBatch:    *deliverBatch,
 		TopicLanes:      *topicLanes,
 		TopicLaneDepth:  *laneDepth,

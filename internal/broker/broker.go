@@ -18,18 +18,24 @@
 // producer that outruns the broker stalls its own reader and the
 // backpressure propagates into TCP, never into other connections.
 //
-// Topics are sharded MPMC queues of per-producer FFQ^s lanes: each
-// connection's pump acquires its own lane per topic on first produce
-// and EnqueueBatches into it with the wait-free single-producer path —
-// no CAS against the other connections, one tail publication per
-// staged batch. (At most lanes-1 handles are granted per topic;
-// connections beyond that share the fallback lane, which still
-// preserves their per-producer FIFO order.) The lanes are bounded; a pump facing a
-// full lane spins until subscribers drain it, which stalls that
-// connection's ingress queue and, through it, the producer's TCP
-// stream — the same backpressure chain as before, now extending all
-// the way to the topic. Cumulative ACKs per touched topic follow each
-// pump flush.
+// Topics are sharded queues of bounded per-producer FFQ^s lanes. Every
+// pump (per connection here, per shm segment in shm.go) feeds them
+// through topic.ingest: WAL append first on durable brokers, then an
+// EnqueueBatch on the pump's own lane with the wait-free
+// single-producer path — no CAS against the other producers. (At most
+// lanes-1 handles are granted per topic; pumps beyond that share the
+// fallback lane, which still preserves their per-producer FIFO
+// order.) A pump facing a full lane spins until subscribers drain it,
+// which stalls its staging queue and, through it, the producer's TCP
+// stream. Cumulative ACKs per touched topic follow each pump flush.
+//
+// # Staging liveness
+//
+// Staging keeps a connection's CREDIT frames flowing while its pump
+// waits on a full lane, which a connection consuming from its own
+// topic needs. It holds a client's whole default publish window of
+// single-message frames; the bound that remains is one window per
+// topic per connection.
 //
 // Fan-out is competitive-consumer: each subscription claims a batch of
 // messages up to its credit window with one TryDequeueBatch scan (a
@@ -51,8 +57,8 @@
 //
 // # Durable topics
 //
-// With Options.DataDir set every topic is durable: the pump appends
-// each staged batch to the topic's write-ahead log (internal/wal)
+// With Options.DataDir set every topic is durable: topic.ingest
+// appends each batch to the topic's write-ahead log (internal/wal)
 // before enqueueing it for live fan-out, so the cumulative ACK a
 // producer receives means "on the log", under whatever fsync policy
 // the broker runs. The log assigns each message a monotonic per-topic
@@ -105,9 +111,6 @@ import (
 
 // Defaults for Options zero values.
 const (
-	// DefaultIngressBuffer is the per-connection staging queue capacity
-	// (staged PRODUCE batches, not messages).
-	DefaultIngressBuffer = 256
 	// DefaultDeliverBatch caps messages per DELIVER frame.
 	DefaultDeliverBatch = 64
 	// DefaultTopicLanes is the number of per-producer lanes in each
@@ -121,10 +124,6 @@ const (
 
 // Options configures a Broker.
 type Options struct {
-	// IngressBuffer is the per-connection SPSC staging capacity in
-	// PRODUCE batches; must be a power of two. 0 means
-	// DefaultIngressBuffer.
-	IngressBuffer int
 	// DeliverBatch caps the messages packed into one DELIVER frame.
 	// 0 means DefaultDeliverBatch.
 	DeliverBatch int
@@ -196,7 +195,6 @@ type Options struct {
 // Option validation errors; Validate wraps them with detail.
 var (
 	ErrNegativeOption          = errors.New("broker: option must not be negative")
-	ErrBadIngressBuffer        = errors.New("broker: IngressBuffer must be a power of two")
 	ErrBadLaneDepth            = errors.New("broker: TopicLaneDepth must be a power of two")
 	ErrRetentionWithoutDataDir = errors.New("broker: retention options require DataDir")
 	ErrFsyncWithoutDataDir     = errors.New("broker: fsync options require DataDir")
@@ -214,7 +212,6 @@ func (o *Options) Validate() error {
 		name string
 		val  int64
 	}{
-		{"IngressBuffer", int64(o.IngressBuffer)},
 		{"DeliverBatch", int64(o.DeliverBatch)},
 		{"TopicLanes", int64(o.TopicLanes)},
 		{"TopicLaneDepth", int64(o.TopicLaneDepth)},
@@ -228,9 +225,6 @@ func (o *Options) Validate() error {
 		if v.val < 0 {
 			return fmt.Errorf("%w: %s = %d", ErrNegativeOption, v.name, v.val)
 		}
-	}
-	if o.IngressBuffer != 0 && o.IngressBuffer&(o.IngressBuffer-1) != 0 {
-		return fmt.Errorf("%w: %d", ErrBadIngressBuffer, o.IngressBuffer)
 	}
 	if o.TopicLaneDepth != 0 && o.TopicLaneDepth&(o.TopicLaneDepth-1) != 0 {
 		return fmt.Errorf("%w: %d", ErrBadLaneDepth, o.TopicLaneDepth)
@@ -258,8 +252,8 @@ func (o *Options) Validate() error {
 }
 
 // Broker accepts ffqd wire connections and routes PRODUCE batches into
-// per-topic unbounded FFQ queues, fanning them out to credit-gated
-// subscribers.
+// per-topic sharded queues of bounded FFQ lanes, fanning them out to
+// credit-gated subscribers.
 type Broker struct {
 	opts Options
 
@@ -354,13 +348,36 @@ type topic struct {
 	subs map[*sub]struct{}
 }
 
+// ingest is the one ingest path of connection and shm pumps. A durable
+// topic appends the batch to its write-ahead log first, so a pump's
+// ACK means "appended" and a batch the log rejects is never enqueued.
+// The batch then goes onto the caller's lane h, or the shared fallback
+// lane when h is nil, each message stamped with stamp. The lanes copy
+// the elements, so scratch comes back for the caller's next batch.
+func (t *topic) ingest(h *ffq.ProducerHandle[msg], payloads [][]byte, stamp int64, scratch []msg) ([]msg, error) {
+	if t.log != nil {
+		if _, err := t.log.Append(payloads); err != nil {
+			return scratch, err
+		}
+	}
+	scratch = scratch[:0]
+	for _, pl := range payloads {
+		scratch = append(scratch, msg{payload: pl, ingressNS: stamp})
+	}
+	if h != nil {
+		h.EnqueueBatch(scratch)
+	} else {
+		for _, m := range scratch {
+			t.q.Enqueue(m)
+		}
+	}
+	return scratch, nil
+}
+
 // New returns a broker; Serve starts it.
 func New(opts Options) (*Broker, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
-	}
-	if opts.IngressBuffer == 0 {
-		opts.IngressBuffer = DefaultIngressBuffer
 	}
 	if opts.DeliverBatch == 0 {
 		opts.DeliverBatch = DefaultDeliverBatch

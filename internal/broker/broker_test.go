@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"net"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -152,6 +153,56 @@ func TestFanOutTCP(t *testing.T) {
 			}
 			last[r.producer] = r.seq
 		}
+	}
+}
+
+// TestSelfConsumingPublisherLive is the staging liveness bound: one
+// connection publishes 50k messages to a topic it consumes with a
+// 64-message credit window, so its CREDIT frames queue behind up to a
+// publish window of PRODUCE frames (1024 of them at MaxBatch 1).
+func TestSelfConsumingPublisherLive(t *testing.T) {
+	const total = 50_000
+	for _, maxBatch := range []int{64, 1} {
+		t.Run("MaxBatch="+strconv.Itoa(maxBatch), func(t *testing.T) {
+			b, addr := startBroker(t, broker.Options{})
+			c, err := client.Dial(addr, client.Options{MaxBatch: maxBatch})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sub, err := c.Subscribe("loop", 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := make(chan uint64, 1)
+			go func() {
+				var next uint64
+				for m, ok := sub.Recv(); ok && binary.BigEndian.Uint64(m[1:]) == next; m, ok = sub.Recv() {
+					if next++; next == total {
+						break
+					}
+				}
+				got <- next
+			}()
+			go func() {
+				for i := range total {
+					if c.Publish("loop", msg(0, uint64(i))) != nil {
+						return
+					}
+				}
+			}()
+			select {
+			case n := <-got:
+				if n != total {
+					t.Fatalf("received %d of %d messages in order (client err %v)", n, total, c.Err())
+				}
+			case <-time.After(60 * time.Second):
+				m := b.Metrics()
+				// No Close: it would block flushing into the full window.
+				t.Fatalf("wedged: %d of %d messages in, %d out", m.MsgsIn.Load(), total, m.MsgsOut.Load())
+			}
+			b.Shutdown(context.Background())
+			c.Close()
+		})
 	}
 }
 

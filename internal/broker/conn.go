@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -26,12 +27,19 @@ type wireError struct {
 func (e *wireError) Error() string { return e.msg }
 
 // staged is one PRODUCE batch copied out of the reader's frame buffer
-// and parked in the connection's ingress queue until the pump flushes
-// it into the topic.
+// and parked in the connection's ingress queue until the pump ingests
+// it into the topic. stamp is the frame's decode time (zero when the
+// topic has no latency histogram).
 type staged struct {
-	t    *topic
-	msgs []msg
+	t        *topic
+	payloads [][]byte
+	stamp    int64
 }
+
+// stagingSlots is the ingress queue's capacity in PRODUCE frames: a
+// client's whole default publish window of single-message frames (see
+// "Staging liveness" in the package doc).
+const stagingSlots = 1024
 
 // conn is one accepted connection: reader + ingress SPSC + pump on the
 // produce side, any number of subscriptions on the consume side, all
@@ -47,7 +55,7 @@ type conn struct {
 	ingress *ffq.SPSC[staged]
 	// wake signals the pump that the reader staged a batch (capacity 1;
 	// a dropped send means a wakeup is already pending). The reader
-	// closes it after closing ingress.
+	// closes it when it stops staging.
 	wake chan struct{}
 
 	// wmu serializes the writer between the pump (ACKs), subscriptions
@@ -68,19 +76,11 @@ type conn struct {
 	// lastTopic caches the previous PRODUCE frame's topic so the common
 	// single-topic producer skips the broker map lookup.
 	lastTopic *topic
-
-	// walScratch is the pump's reusable payload-slice view of a staged
-	// batch, handed to the topic's WAL appender (durable brokers only).
-	walScratch [][]byte
 }
 
 func newConn(b *Broker, nc net.Conn) *conn {
-	ingress, err := ffq.NewSPSC[staged](b.opts.IngressBuffer)
-	if err != nil {
-		// IngressBuffer defaults to a power of two; a bad custom value
-		// is a configuration bug, caught on the first connection.
-		panic("broker: invalid IngressBuffer: " + err.Error())
-	}
+	// NewSPSC only rejects capacities that are not powers of two >= 2.
+	ingress, _ := ffq.NewSPSC[staged](stagingSlots)
 	return &conn{
 		b:       b,
 		nc:      nc,
@@ -109,7 +109,6 @@ func (c *conn) readLoop() {
 				// can exit, then keep reading without a deadline. The
 				// socket close at the end of Shutdown ends the loop.
 				drainMode = true
-				c.ingress.Close()
 				close(c.wake)
 				c.nc.SetReadDeadline(time.Time{})
 				continue
@@ -128,9 +127,8 @@ func (c *conn) readLoop() {
 		}
 	}
 	if !drainMode {
-		// Hand the pump its end-of-input: close the staging queue, then
-		// the wake channel so a parked pump drains and exits.
-		c.ingress.Close()
+		// Hand the pump its end-of-input: closing wake makes it drain
+		// what is staged and exit.
 		close(c.wake)
 		c.teardown()
 		return
@@ -172,22 +170,16 @@ func (c *conn) handleFrame(f wire.Frame, drainMode bool) error {
 			}
 			c.lastTopic = t
 		}
-		n := p.N
-		payloads := wire.CopyMessages(&p.Batch)
-		msgs := make([]msg, len(payloads))
-		var stamp int64
+		st := staged{t: t, payloads: wire.CopyMessages(&p.Batch)}
 		if t.lat != nil {
-			stamp = time.Now().UnixNano()
+			st.stamp = time.Now().UnixNano()
 		}
-		for i, pl := range payloads {
-			msgs[i] = msg{payload: pl, ingressNS: stamp}
-		}
-		c.ingress.Enqueue(staged{t: t, msgs: msgs})
+		c.ingress.Enqueue(st)
 		select {
 		case c.wake <- struct{}{}:
 		default: // a wakeup is already pending
 		}
-		c.b.m.MsgsIn.Add(int64(n))
+		c.b.m.MsgsIn.Add(int64(len(st.payloads)))
 		c.b.m.ProduceFrames.Add(1)
 		return nil
 
@@ -337,16 +329,14 @@ func (c *conn) handleConsumeFrom(f wire.Frame) error {
 	return nil
 }
 
-// pumpLoop drains staged batches into their topics and acknowledges
-// cumulatively. It exits when the reader closes the ingress queue,
-// after flushing everything that was staged — which is what makes
-// Shutdown lossless for accepted PRODUCE frames.
-//
-// The pump is a single goroutine, so it can hold an exclusive lane per
-// topic: the first staged batch for a topic acquires a producer handle
-// and every later batch runs the wait-free single-producer enqueue on
-// that lane, CAS-free against the other connections. The handles are
-// released when the pump exits so the lanes return to the pool.
+// pumpLoop ingests staged batches into their topics: drain the
+// ingress queue until it is empty, send one cumulative ACK per touched
+// topic, park on wake. The reader stages nothing after closing wake,
+// so the last drain sees everything staged, which makes Shutdown
+// lossless for accepted PRODUCE frames. The pump holds one lane per
+// topic (nil after a failed acquisition: ingest then uses the shared
+// fallback lane) and releases them when it exits. A batch the log
+// rejects kills the connection unacknowledged.
 func (c *conn) pumpLoop() {
 	defer c.b.pumpWG.Done()
 	seqs := map[*topic]uint64{}
@@ -359,87 +349,38 @@ func (c *conn) pumpLoop() {
 			}
 		}
 	}()
-	for {
-		st, ok := c.ingress.TryDequeue()
-		if !ok {
-			if _, open := <-c.wake; open {
-				continue
-			}
-			// Reader is gone; drain the leftovers and stop. The wake
-			// channel only closes after ingress.Close, so everything the
-			// reader staged is visible to TryDequeue by now.
-			for {
-				st, ok := c.ingress.TryDequeue()
-				if !ok {
-					return
-				}
-				c.pumpOne(st, seqs, &touched, lanes)
-				c.flushAcks(seqs, &touched)
-			}
-		}
-		// Opportunistically drain a run of staged batches, then send one
-		// cumulative ACK per touched topic instead of one per frame.
-		c.pumpOne(st, seqs, &touched, lanes)
+	var scratch []msg
+	for open := true; ; {
 		for {
 			st, ok := c.ingress.TryDequeue()
 			if !ok {
 				break
 			}
-			c.pumpOne(st, seqs, &touched, lanes)
+			h, seen := lanes[st.t]
+			if !seen {
+				h, _ = st.t.q.AcquireProducer()
+				lanes[st.t] = h
+			}
+			var err error
+			if scratch, err = st.t.ingest(h, st.payloads, st.stamp, scratch); err != nil {
+				c.dead.Store(true)
+				continue
+			}
+			if !slices.Contains(touched, st.t) {
+				touched = append(touched, st.t)
+			}
+			seqs[st.t] += uint64(len(st.payloads))
 		}
-		c.flushAcks(seqs, &touched)
-	}
-}
-
-// pumpOne feeds one staged batch to the connection's lane of the
-// topic's sharded queue. A nil map entry records a failed acquisition
-// (more producing connections than lanes) so the shared-fallback-lane
-// Enqueue is used without retrying the acquire on every batch.
-//
-// On a durable broker the batch goes to the topic's write-ahead log
-// first — the ACK that follows the flush means "appended", so a batch
-// the log rejects (disk failure) kills the connection unacknowledged
-// instead of being enqueued as a ghost the log never saw.
-func (c *conn) pumpOne(st staged, seqs map[*topic]uint64, touched *[]*topic, lanes map[*topic]*ffq.ProducerHandle[msg]) {
-	if st.t.log != nil {
-		c.walScratch = c.walScratch[:0]
-		for _, m := range st.msgs {
-			c.walScratch = append(c.walScratch, m.payload)
+		for _, t := range touched {
+			c.writeAck(0, t.nameBytes, t.part, seqs[t])
+			c.b.m.Acks.Add(1)
 		}
-		if _, err := st.t.log.Append(c.walScratch); err != nil {
-			c.dead.Store(true)
+		touched = touched[:0]
+		if !open {
 			return
 		}
+		_, open = <-c.wake
 	}
-	h, seen := lanes[st.t]
-	if !seen {
-		h, _ = st.t.q.AcquireProducer()
-		lanes[st.t] = h
-	}
-	if h != nil {
-		h.EnqueueBatch(st.msgs)
-	} else {
-		for _, m := range st.msgs {
-			st.t.q.Enqueue(m)
-		}
-	}
-	seqs[st.t] += uint64(len(st.msgs))
-	for _, t := range *touched {
-		if t == st.t {
-			return
-		}
-	}
-	*touched = append(*touched, st.t)
-}
-
-// flushAcks writes one cumulative ACK per topic touched since the last
-// flush.
-func (c *conn) flushAcks(seqs map[*topic]uint64, touched *[]*topic) {
-	for _, t := range *touched {
-		c.writeAck(0, t.nameBytes, t.part, seqs[t])
-		c.b.m.Acks.Add(1)
-	}
-	*touched = (*touched)[:0]
 }
 
 // teardown tears a failed/closed connection down: deliveries stop,

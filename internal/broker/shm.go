@@ -16,15 +16,14 @@ import (
 // Options.ShmDir, one per producer. A scanner goroutine notices new
 // *.ffq files and starts a pump per segment:
 //
-//	producer process ──mmap SPSC──▶ shm pump ──EnqueueBatch──▶ topic
+//	producer process ──mmap SPSC──▶ shm pump ──topic.ingest──▶ topic
 //
 // which is the same shape as a connection's ingress lane — the segment
-// replaces the reader+SPSC pair, and from the topic onward (per-pump
-// producer lane, WAL append before enqueue on durable brokers, credit-
-// gated fan-out) nothing changes. The pump removes a segment's file
-// once its producer closed it and it is drained, or once the producer
-// died (heartbeat PID); a broker shutdown leaves segments in place for
-// the next run.
+// replaces the reader+SPSC pair, and the pump feeds the topic through
+// the same topic.ingest as a connection pump. The pump removes a
+// segment's file once its producer closed it and it is drained, or
+// once the producer died (heartbeat PID); a broker shutdown leaves
+// segments in place for the next run.
 
 // DefaultShmScanInterval is how often the ShmDir scanner looks for new
 // segment files.
@@ -101,8 +100,8 @@ func (b *Broker) shmScanLoop() {
 }
 
 // shmServe pumps one segment into its topic until the segment ends or
-// the broker drains. It mirrors a connection pump: exclusive producer
-// lane on the topic, WAL append before enqueue when durable.
+// the broker drains. It holds an exclusive producer lane on the topic
+// and feeds every drained batch through topic.ingest.
 func (b *Broker) shmServe(path string, c *shm.Consumer) {
 	defer b.shmWG.Done()
 	removeFile := false
@@ -127,7 +126,7 @@ func (b *Broker) shmServe(path string, c *shm.Consumer) {
 	}
 
 	payloads := make([][]byte, 0, shmDrainMax)
-	walScratch := make([][]byte, 0, shmDrainMax)
+	var scratch []msg
 	idle := 0
 	finishing := false // Close/death observed; the next empty drain ends the segment
 	for {
@@ -144,30 +143,18 @@ func (b *Broker) shmServe(path string, c *shm.Consumer) {
 		}
 		if len(payloads) > 0 {
 			idle = 0
-			if t.log != nil {
-				walScratch = append(walScratch[:0], payloads...)
-				if _, err := t.log.Append(walScratch); err != nil {
-					return // disk failure: stop unacknowledged, like a conn pump
-				}
-			}
-			msgs := make([]msg, len(payloads))
 			var stamp int64
 			if t.lat != nil {
 				stamp = time.Now().UnixNano()
 			}
+			if scratch, err = t.ingest(h, payloads, stamp, scratch); err != nil {
+				return // disk failure: stop unacknowledged, like a conn pump
+			}
 			var bytes int64
-			for i, pl := range payloads {
-				msgs[i] = msg{payload: pl, ingressNS: stamp}
+			for _, pl := range payloads {
 				bytes += int64(len(pl))
 			}
-			if h != nil {
-				h.EnqueueBatch(msgs)
-			} else {
-				for _, m := range msgs {
-					t.q.Enqueue(m)
-				}
-			}
-			b.m.ShmMsgs.Add(int64(len(msgs)))
+			b.m.ShmMsgs.Add(int64(len(payloads)))
 			b.m.ShmBytes.Add(bytes)
 			continue
 		}
@@ -180,15 +167,15 @@ func (b *Broker) shmServe(path string, c *shm.Consumer) {
 		if finishing {
 			// This drain came up empty after Close/death was observed,
 			// so every final publish racing with it has already gone
-			// through the WAL+enqueue path above; the segment is garbage.
+			// through ingest above; the segment is garbage.
 			removeFile = true
 			return
 		}
 		if c.CloseRequested() || !c.ProducerAlive() {
 			// Producer is done (or dead). Publishes precede the Close
-			// store, so looping back for one more drain — through the
-			// normal WAL+enqueue path, never consumed here — closes the
-			// race with its final publishes.
+			// store, so looping back for one more drain — through
+			// ingest, never consumed here — closes the race with its
+			// final publishes.
 			finishing = true
 			continue
 		}

@@ -479,7 +479,7 @@ func PairsLatency(o Options, threads int) (*report.Table, error) {
 	totalPairs := harness.ScaleInt(1_000_000, o.Scale, 2000)
 	t := &report.Table{
 		Title: fmt.Sprintf("Pairs latency (extra): per-op latency at %d threads, ns", threads),
-		Note: fmt.Sprintf("total-pairs=%d delay=50-150ns; quantiles at power-of-two bucket resolution",
+		Note: fmt.Sprintf("total-pairs=%d delay=50-150ns; p99 is an HDR bucket upper edge (6.25%% relative error)",
 			totalPairs),
 		Columns: []string{"queue", "enq-mean", "enq-p99", "deq-mean", "deq-p99"},
 	}
@@ -497,8 +497,8 @@ func PairsLatency(o Options, threads int) (*report.Table, error) {
 			MeasureLatency: true,
 		})
 		t.AddRow(f.Name,
-			res.EnqueueNS.Mean(), res.EnqueueNS.Quantile(0.99),
-			res.DequeueNS.Mean(), res.DequeueNS.Quantile(0.99))
+			res.EnqueueNS.Mean().Nanoseconds(), res.EnqueueNS.P99NS,
+			res.DequeueNS.Mean().Nanoseconds(), res.DequeueNS.P99NS)
 	}
 	return t, nil
 }

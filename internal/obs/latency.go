@@ -106,18 +106,19 @@ func (h *LatencyHist) Record(ns int64) {
 }
 
 // Snapshot freezes the histogram into a LatencySnapshot with the
-// percentile fields computed.
+// percentile fields computed. The buckets are read before the max:
+// Record raises the max before it counts the bucket, so every counted
+// observation is covered by the max read after it, and a percentile
+// never exceeds the snapshot's max.
 func (h *LatencyHist) Snapshot() *LatencySnapshot {
-	s := &LatencySnapshot{
-		SumNS:   h.sum.Load(),
-		MaxNS:   h.max.Load(),
-		Buckets: make([]int64, NumLatBuckets),
-	}
+	s := &LatencySnapshot{Buckets: make([]int64, NumLatBuckets)}
 	for i := range s.Buckets {
 		c := h.buckets[i].Load()
 		s.Buckets[i] = c
 		s.Count += c
 	}
+	s.SumNS = h.sum.Load()
+	s.MaxNS = h.max.Load()
 	s.finalize()
 	return s
 }

@@ -1,8 +1,8 @@
 // Package stats provides the statistics used by the benchmark
-// harness: streaming mean/variance (Welford), min/max, percentiles,
-// and a log-bucketed latency histogram. The paper reports the average
-// of 10 runs (Section V-A); Summary carries everything needed to do
-// the same and to report dispersion alongside.
+// harness: streaming mean/variance (Welford), min/max and percentiles.
+// (Latency histograms are obs.LatencyHist.) The paper reports the
+// average of 10 runs (Section V-A); Summary carries everything needed
+// to do the same and to report dispersion alongside.
 package stats
 
 import (
@@ -117,77 +117,4 @@ func Mean(xs []float64) float64 {
 		sum += x
 	}
 	return sum / float64(len(xs))
-}
-
-// Histogram is a base-2 log-bucketed histogram for latency-like
-// non-negative values.
-type Histogram struct {
-	counts [64]uint64
-	total  uint64
-	sum    float64
-}
-
-// Add records v (values < 1 land in bucket 0).
-func (h *Histogram) Add(v float64) {
-	b := 0
-	for x := v; x >= 2 && b < 63; x /= 2 {
-		b++
-	}
-	h.counts[b]++
-	h.total++
-	h.sum += v
-}
-
-// Total returns the number of recorded values.
-func (h *Histogram) Total() uint64 { return h.total }
-
-// Mean returns the mean of recorded values.
-func (h *Histogram) Mean() float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return h.sum / float64(h.total)
-}
-
-// Quantile returns an upper bound for the q-quantile (0<=q<=1) using
-// bucket upper edges.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	target := uint64(q * float64(h.total))
-	if target >= h.total {
-		target = h.total - 1
-	}
-	var cum uint64
-	for b, c := range h.counts {
-		cum += c
-		if cum > target {
-			return math.Pow(2, float64(b+1))
-		}
-	}
-	return math.Pow(2, 64)
-}
-
-// Merge adds the contents of other into h (bucket-wise; the mean is
-// preserved exactly, quantiles at bucket resolution).
-func (h *Histogram) Merge(other *Histogram) {
-	if other == nil {
-		return
-	}
-	for b := range other.counts {
-		h.counts[b] += other.counts[b]
-	}
-	h.total += other.total
-	h.sum += other.sum
-}
-
-// Buckets invokes fn for every non-empty bucket with its lower edge
-// and count, in ascending order.
-func (h *Histogram) Buckets(fn func(lowerEdge float64, count uint64)) {
-	for b, c := range h.counts {
-		if c > 0 {
-			fn(math.Pow(2, float64(b)), c)
-		}
-	}
 }

@@ -115,49 +115,3 @@ func TestMean(t *testing.T) {
 		t.Error("Mean([1 2 3]) != 2")
 	}
 }
-
-func TestHistogram(t *testing.T) {
-	var h Histogram
-	if h.Total() != 0 || h.Mean() != 0 || h.Quantile(0.5) != 0 {
-		t.Fatal("empty histogram not zeroed")
-	}
-	for i := 0; i < 100; i++ {
-		h.Add(100) // bucket [64,128)
-	}
-	h.Add(100000) // far tail
-	if h.Total() != 101 {
-		t.Fatalf("Total = %d", h.Total())
-	}
-	if q := h.Quantile(0.5); q != 128 {
-		t.Fatalf("median upper bound = %v, want 128", q)
-	}
-	if q := h.Quantile(1.0); q < 100000 {
-		t.Fatalf("max quantile %v below the tail value", q)
-	}
-	if m := h.Mean(); !almostEqual(m, (100.0*100+100000)/101) {
-		t.Fatalf("Mean = %v", m)
-	}
-	var buckets int
-	h.Buckets(func(edge float64, count uint64) { buckets++ })
-	if buckets != 2 {
-		t.Fatalf("non-empty buckets = %d, want 2", buckets)
-	}
-}
-
-func TestHistogramMerge(t *testing.T) {
-	var a, b Histogram
-	a.Add(10)
-	a.Add(100)
-	b.Add(1000)
-	a.Merge(&b)
-	a.Merge(nil)
-	if a.Total() != 3 {
-		t.Fatalf("Total = %d", a.Total())
-	}
-	if !almostEqual(a.Mean(), (10.0+100+1000)/3) {
-		t.Fatalf("Mean = %v", a.Mean())
-	}
-	if q := a.Quantile(1.0); q < 1000 {
-		t.Fatalf("max quantile %v", q)
-	}
-}

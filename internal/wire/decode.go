@@ -16,6 +16,11 @@ type Reader struct {
 	r   io.Reader
 	hdr [headerSize]byte
 	buf []byte
+	// hn and bn count the bytes of the current frame's header and body
+	// read so far. They survive a failed read, so a read-deadline
+	// timeout between (or inside) the two leaves the frame to be
+	// resumed by the next Next instead of losing its header.
+	hn, bn int
 }
 
 // NewReader returns a frame reader over r.
@@ -24,11 +29,20 @@ func NewReader(r io.Reader) *Reader { return &Reader{r: r} }
 // Next reads exactly one frame. It never reads past the declared frame
 // length, so decode errors do not desynchronize the stream (they are
 // terminal for the connection anyway). io.EOF is returned only at a
-// clean frame boundary; EOF mid-frame is io.ErrUnexpectedEOF.
+// clean frame boundary; EOF mid-frame is io.ErrUnexpectedEOF. After a
+// read error — typically a deadline timeout — the next call resumes
+// the partly read frame where the error left it.
 func (r *Reader) Next() (Frame, error) {
 	var f Frame
-	if _, err := io.ReadFull(r.r, r.hdr[:]); err != nil {
-		return f, err // io.EOF here is a clean end of stream
+	if r.hn < headerSize {
+		n, err := io.ReadFull(r.r, r.hdr[r.hn:])
+		r.hn += n
+		if err != nil {
+			if err == io.EOF && r.hn > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return f, err // io.EOF here is a clean end of stream
+		}
 	}
 	n := binary.BigEndian.Uint32(r.hdr[:4])
 	if n < 2 {
@@ -42,12 +56,15 @@ func (r *Reader) Next() (Frame, error) {
 		r.buf = make([]byte, body)
 	}
 	buf := r.buf[:body]
-	if _, err := io.ReadFull(r.r, buf); err != nil {
+	k, err := io.ReadFull(r.r, buf[r.bn:])
+	r.bn += k
+	if err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
 		return f, err
 	}
+	r.hn, r.bn = 0, 0
 	f.Type = r.hdr[4]
 	f.Flags = r.hdr[5]
 	f.Body = buf

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"os"
 	"strings"
 	"testing"
 )
@@ -698,5 +699,64 @@ func TestParseConsumeFromErrors(t *testing.T) {
 	trunc := Frame{Type: TConsume, Flags: FlagOffset, Body: f.Body[:len(f.Body)-1]}
 	if _, err := ParseConsumeFrom(trunc); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("truncated group: %v", err)
+	}
+}
+
+// stepReader replays a script of reads: each step either returns its
+// bytes or fails with a deadline timeout, the way a net.Conn does when
+// a read deadline fires while the rest of a frame is still in flight.
+type stepReader struct{ steps [][]byte }
+
+func (s *stepReader) Read(p []byte) (int, error) {
+	if len(s.steps) == 0 {
+		return 0, io.EOF
+	}
+	step := s.steps[0]
+	if step == nil {
+		s.steps = s.steps[1:]
+		return 0, os.ErrDeadlineExceeded
+	}
+	n := copy(p, step)
+	if s.steps[0] = step[n:]; len(s.steps[0]) == 0 {
+		s.steps = s.steps[1:]
+	}
+	return n, nil
+}
+
+// TestReaderResumesAfterTimeout cuts one PRODUCE frame with a timeout
+// inside the header, between header and body, and inside the body. In
+// every case the next Next must resume the frame, not parse body bytes
+// as a new header.
+func TestReaderResumesAfterTimeout(t *testing.T) {
+	var b Buffer
+	b.PutProduce(0, []byte("orders"), NoPartition, [][]byte{[]byte("hello"), []byte("world")})
+	b.PutPing(7, false)
+	stream := append([]byte(nil), b.Bytes()...)
+	for _, cut := range []int{3, headerSize, headerSize + 5} {
+		r := NewReader(&stepReader{steps: [][]byte{stream[:cut], nil, stream[cut:]}})
+		if _, err := r.Next(); !errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatalf("cut %d: first Next err = %v, want the timeout", cut, err)
+		}
+		f, err := r.Next()
+		if err != nil {
+			t.Fatalf("cut %d: resumed Next: %v", cut, err)
+		}
+		p, err := ParseProduce(f)
+		if err != nil {
+			t.Fatalf("cut %d: ParseProduce: %v", cut, err)
+		}
+		if string(p.Topic) != "orders" || p.N != 2 {
+			t.Fatalf("cut %d: got topic %q n=%d", cut, p.Topic, p.N)
+		}
+		f, err = r.Next()
+		if err != nil {
+			t.Fatalf("cut %d: frame after the resumed one: %v", cut, err)
+		}
+		if tok, err := ParsePing(f); err != nil || tok != 7 {
+			t.Fatalf("cut %d: ping = %d, %v", cut, tok, err)
+		}
+		if _, err := r.Next(); err != io.EOF {
+			t.Fatalf("cut %d: end of stream err = %v, want io.EOF", cut, err)
+		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"runtime/pprof"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ffq/internal/affinity"
@@ -116,11 +117,12 @@ type MicroConfig struct {
 	// Stats.StallEvents/RecentStalls.
 	StallThreshold time.Duration
 	// StallEvery injects an artificial stall on the first consumer of
-	// each submission queue: after every StallEvery items it sleeps for
-	// StallDuration. 0 disables injection. Used to validate the stall
-	// watchdog and tail-latency gates against a known disturbance.
+	// each submission queue: after every StallEvery items it stops
+	// consuming for StallDuration. 0 disables injection. Used to
+	// validate the stall watchdog and tail-latency gates against a
+	// known disturbance.
 	StallEvery int
-	// StallDuration is the injected sleep (DefaultStallDuration when 0
+	// StallDuration is the injected stall (DefaultStallDuration when 0
 	// and StallEvery > 0).
 	StallDuration time.Duration
 }
@@ -148,6 +150,25 @@ type MicroResult struct {
 	// zero except for VariantSharded.
 	Lanes   int
 	LaneCap int
+	// Stalled is the measured wall time of the injected StallEvery
+	// stalls, summed, so a gate can compare throughput net of the
+	// disturbance it injected.
+	Stalled time.Duration
+}
+
+// stallClock performs injected stalls and sums how long they took. A
+// stall yields rather than sleeps: a sleeping goroutine is parked, the
+// timer often readies it on its peer's P, and on a loaded host the two
+// then share that P for milliseconds — a scheduler cost several times
+// the stall itself, which no queue causes.
+type stallClock struct{ ns atomic.Int64 }
+
+func (s *stallClock) stall(d time.Duration) {
+	t0 := time.Now()
+	for time.Since(t0) < d {
+		runtime.Gosched()
+	}
+	s.ns.Add(int64(time.Since(t0)))
 }
 
 // MopsPerSec returns round-trips per second in millions.
@@ -314,6 +335,7 @@ func RunMicro(cfg MicroConfig) (MicroResult, error) {
 	if cfg.MeasureLatency {
 		sojourn = &obs.LatencyHist{}
 	}
+	var stalls stallClock
 
 	type producerState struct {
 		sub   submission
@@ -412,7 +434,7 @@ func RunMicro(cfg MicroConfig) (MicroResult, error) {
 							if stallN > 0 {
 								if processed += n; processed >= stallN {
 									processed = 0
-									time.Sleep(cfg.StallDuration)
+									stalls.stall(cfg.StallDuration)
 								}
 							}
 						}
@@ -430,7 +452,7 @@ func RunMicro(cfg MicroConfig) (MicroResult, error) {
 						if stallN > 0 {
 							if processed++; processed >= stallN {
 								processed = 0
-								time.Sleep(cfg.StallDuration)
+								stalls.stall(cfg.StallDuration)
 							}
 						}
 					}
@@ -504,7 +526,11 @@ func RunMicro(cfg MicroConfig) (MicroResult, error) {
 	t0 := time.Now()
 	close(start)
 	done.Wait()
-	res := MicroResult{Items: cfg.Producers * cfg.ItemsPerProducer, Elapsed: time.Since(t0)}
+	res := MicroResult{
+		Items:   cfg.Producers * cfg.ItemsPerProducer,
+		Elapsed: time.Since(t0),
+		Stalled: time.Duration(stalls.ns.Load()),
+	}
 	if rec != nil {
 		s := rec.Snapshot()
 		for _, st := range states {

@@ -90,6 +90,7 @@ func runMicroSharded(cfg MicroConfig, top *affinity.Topology, rec *obs.Recorder)
 
 	var ready, prodDone, done sync.WaitGroup
 	start := make(chan struct{})
+	var stalls stallClock
 
 	for ci := 0; ci < consumers; ci++ {
 		ready.Add(1)
@@ -129,7 +130,7 @@ func runMicroSharded(cfg MicroConfig, top *affinity.Topology, rec *obs.Recorder)
 						if stallN > 0 {
 							if processed += n; processed >= stallN {
 								processed = 0
-								time.Sleep(cfg.StallDuration)
+								stalls.stall(cfg.StallDuration)
 							}
 						}
 					}
@@ -143,7 +144,7 @@ func runMicroSharded(cfg MicroConfig, top *affinity.Topology, rec *obs.Recorder)
 					if stallN > 0 {
 						if processed++; processed >= stallN {
 							processed = 0
-							time.Sleep(cfg.StallDuration)
+							stalls.stall(cfg.StallDuration)
 						}
 					}
 				}
@@ -224,6 +225,7 @@ func runMicroSharded(cfg MicroConfig, top *affinity.Topology, rec *obs.Recorder)
 	res := MicroResult{
 		Items:   cfg.Producers * cfg.ItemsPerProducer,
 		Elapsed: time.Since(t0),
+		Stalled: time.Duration(stalls.ns.Load()),
 		Lanes:   q.Lanes(),
 		LaneCap: q.LaneCap(),
 	}

@@ -16,9 +16,9 @@ import (
 	"sync"
 	"time"
 
+	"ffq/internal/obs"
 	"ffq/internal/queue"
 	"ffq/internal/spin"
-	"ffq/internal/stats"
 )
 
 // PairsConfig parameterizes the comparative pairs benchmark.
@@ -54,7 +54,7 @@ type PairsResult struct {
 	// when MeasureLatency was set (nil otherwise). DequeueNS includes
 	// empty-retry time: it measures "time to obtain an item", the
 	// end-to-end quantity an adopter cares about.
-	EnqueueNS, DequeueNS *stats.Histogram
+	EnqueueNS, DequeueNS *obs.LatencySnapshot
 }
 
 // MopsPerSec returns throughput in million operations per second, the
@@ -84,8 +84,8 @@ func RunPairs(cfg PairsConfig) PairsResult {
 	start := make(chan struct{})
 	ready.Add(cfg.Threads)
 	done.Add(cfg.Threads)
-	enqHists := make([]*stats.Histogram, cfg.Threads)
-	deqHists := make([]*stats.Histogram, cfg.Threads)
+	enqHists := make([]*obs.LatencyHist, cfg.Threads)
+	deqHists := make([]*obs.LatencyHist, cfg.Threads)
 	for w := 0; w < cfg.Threads; w++ {
 		go func(w int) {
 			defer done.Done()
@@ -95,9 +95,9 @@ func RunPairs(cfg PairsConfig) PairsResult {
 			}
 			q := shared.Register()
 			delay := spin.NewDelayer(cfg.DelayMinNS, cfg.DelayMaxNS, uint64(w)*2654435761+1)
-			var enqH, deqH *stats.Histogram
+			var enqH, deqH *obs.LatencyHist
 			if cfg.MeasureLatency {
-				enqH, deqH = new(stats.Histogram), new(stats.Histogram)
+				enqH, deqH = new(obs.LatencyHist), new(obs.LatencyHist)
 				enqHists[w], deqHists[w] = enqH, deqH
 			}
 			ready.Done()
@@ -107,7 +107,7 @@ func RunPairs(cfg PairsConfig) PairsResult {
 				if enqH != nil {
 					t0 := time.Now()
 					q.Enqueue(v)
-					enqH.Add(float64(time.Since(t0).Nanoseconds()))
+					enqH.Record(time.Since(t0).Nanoseconds())
 				} else {
 					q.Enqueue(v)
 				}
@@ -124,7 +124,7 @@ func RunPairs(cfg PairsConfig) PairsResult {
 					_, ok = q.Dequeue()
 				}
 				if deqH != nil {
-					deqH.Add(float64(time.Since(t0).Nanoseconds()))
+					deqH.Record(time.Since(t0).Nanoseconds())
 				}
 				delay.Wait()
 			}
@@ -141,11 +141,11 @@ func RunPairs(cfg PairsConfig) PairsResult {
 	return res
 }
 
-// mergeHists folds per-worker histograms into one.
-func mergeHists(hs []*stats.Histogram) *stats.Histogram {
-	out := new(stats.Histogram)
+// mergeHists folds the per-worker histograms into one snapshot.
+func mergeHists(hs []*obs.LatencyHist) *obs.LatencySnapshot {
+	var out *obs.LatencySnapshot
 	for _, h := range hs {
-		out.Merge(h)
+		out = out.Add(h.Snapshot())
 	}
 	return out
 }

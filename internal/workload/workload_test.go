@@ -220,10 +220,10 @@ func TestRunPairsLatency(t *testing.T) {
 	if res.EnqueueNS == nil || res.DequeueNS == nil {
 		t.Fatal("latency histograms missing")
 	}
-	if res.EnqueueNS.Total() != 2000 || res.DequeueNS.Total() != 2000 {
-		t.Fatalf("histogram totals: enq=%d deq=%d", res.EnqueueNS.Total(), res.DequeueNS.Total())
+	if res.EnqueueNS.Count != 2000 || res.DequeueNS.Count != 2000 {
+		t.Fatalf("histogram totals: enq=%d deq=%d", res.EnqueueNS.Count, res.DequeueNS.Count)
 	}
-	if res.EnqueueNS.Mean() <= 0 || res.DequeueNS.Quantile(0.99) <= 0 {
+	if res.EnqueueNS.Mean() <= 0 || res.DequeueNS.P99NS <= 0 {
 		t.Fatal("degenerate latency stats")
 	}
 	// Without the flag the histograms stay nil.
