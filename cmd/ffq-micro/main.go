@@ -1,14 +1,24 @@
-// Command ffq-micro regenerates the microbenchmark figures of the FFQ
-// paper on the host machine:
+// Command ffq-micro regenerates the figures of the FFQ paper on the
+// host machine, one table per -fig name:
 //
-//	-fig 2   false-sharing layouts (Figure 2)
-//	-fig 3   throughput vs queue size (Figure 3)
-//	-fig 6   throughput vs queue size x thread affinity (Figure 6)
+//	-fig 2             false-sharing layouts (Figure 2)
+//	-fig 3             throughput vs queue size (Figure 3)
+//	-fig 4, -fig 5     simulated cache counters vs queue size x affinity
+//	                   (Figures 4 and 5; -server picks the hierarchy)
+//	-fig 6             throughput vs queue size x thread affinity (Figure 6)
+//	-fig 7             enclave syscall throughput vs cores (Figure 7 left)
+//	-fig 7-latency     enclave syscall latency per variant (Figure 7 right)
+//	-fig 8             every queue under the pairs workload (Figure 8)
+//	-fig 8-latency     per-op latency of the same, at -max-threads threads
+//	-fig spsc-lineage  the Section II SPSC queues on a streaming transfer
+//	-fig all           every table above, after a host header
 //
 // Usage:
 //
 //	ffq-micro -fig 3 -runs 10 -scale 1.0
 //	ffq-micro -fig 6 -pairs 2 -csv
+//	ffq-micro -fig 4 -server p8
+//	ffq-micro -fig all -runs 3 -scale 0.05 > experiments_run.txt
 //	ffq-micro -json BENCH_spmc.json -variant spmc -consumers 4
 //	ffq-micro -json BENCH_useg.json -variant unbounded -batch 64
 //	ffq-micro -json BENCH_sharded.json -variant sharded -producers 4 -consumers 1
@@ -60,9 +70,13 @@ import (
 	"io"
 	"os"
 	"os/exec"
+	"runtime"
 	"strconv"
+	"strings"
 	"time"
 
+	"ffq/internal/affinity"
+	"ffq/internal/cachesim"
 	"ffq/internal/experiments"
 	"ffq/internal/obs"
 	"ffq/internal/report"
@@ -70,12 +84,14 @@ import (
 )
 
 func main() {
-	fig := flag.Int("fig", 3, "figure to regenerate: 2, 3 or 6")
+	fig := flag.String("fig", "3", "figure to regenerate: 2, 3, 4, 5, 6, 7, 7-latency, 8, 8-latency, spsc-lineage, or all")
 	runs := flag.Int("runs", 10, "repetitions per data point (paper: 10)")
 	scale := flag.Float64("scale", 1.0, "workload scale factor (1.0 = paper-sized)")
 	minExp := flag.Int("min-size", 6, "smallest queue size as a power-of-two exponent")
 	maxExp := flag.Int("max-size", 20, "largest queue size as a power-of-two exponent")
 	pairs := flag.Int("pairs", 1, "producer/consumer pairs (figure 6)")
+	maxThreads := flag.Int("max-threads", 0, "largest core count for figure 7, thread sweep cap for figure 8, threads for 8-latency (0 = NumCPU)")
+	server := flag.String("server", "skylake", "simulated hierarchy for figures 4 and 5: skylake, haswell or p8 (the paper's three servers)")
 	csv := flag.Bool("csv", false, "emit CSV instead of an aligned table")
 	jsonOut := flag.String("json", "", "write the instrumented stats sweep as JSON to this file (\"-\" = stdout)")
 	variant := flag.String("variant", "spmc", "queue variant for -json: spsc, spmc, mpmc, sharded, unbounded, unbounded-mpmc, or shm (two-process mmap transport sweep)")
@@ -109,54 +125,32 @@ func main() {
 	o.Scale = *scale
 	o.MinSizeExp = *minExp
 	o.MaxSizeExp = *maxExp
+	o.MaxThreads = *maxThreads
 
-	if *jsonOut != "" {
-		var err error
+	var err error
+	switch {
+	case *jsonOut != "":
+		var recs []report.Record
 		switch {
 		case *brokerSweep:
-			err = runBrokerSweep(o, *jsonOut, *transport, *producers, *consumers)
+			recs, err = experiments.BrokerSweep(o, *transport, *producers, *consumers, nil)
 		case *shardedCompare:
-			err = runShardedCompare(o, *jsonOut, *producers, *consumers)
+			recs, err = experiments.ShardedVsMPMC(o, *producers, *consumers)
 		case *variant == "shm":
-			err = runShmSweep(o, *jsonOut, *slotSize, *shmCap)
+			recs, err = runShmSweep(o, *slotSize, *shmCap)
 		default:
-			err = runStatsSweep(o, *jsonOut, *variant, *producers, *consumers, *batch, *latency)
+			var v workload.Variant
+			if v, err = parseVariant(*variant); err == nil {
+				recs, err = experiments.StatsSweep(o, v, *producers, *consumers, *batch, *latency)
+			}
 		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ffq-micro:", err)
-			os.Exit(1)
+		if err == nil {
+			err = writeRecords(*jsonOut, recs)
 		}
-		return
-	}
-
-	if *latency {
-		if err := runLatency(o, *variant, *producers, *consumers, *batch, *stallEvery, *stallDur, *csv); err != nil {
-			fmt.Fprintln(os.Stderr, "ffq-micro:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	var tbl *report.Table
-	var err error
-	switch *fig {
-	case 2:
-		tbl, err = experiments.Fig2(o)
-	case 3:
-		tbl, err = experiments.Fig3(o)
-	case 6:
-		tbl, err = experiments.Fig6(o, *pairs)
+	case *latency:
+		err = runLatency(o, *variant, *producers, *consumers, *batch, *stallEvery, *stallDur, *csv)
 	default:
-		err = fmt.Errorf("unknown figure %d (have 2, 3, 6)", *fig)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ffq-micro:", err)
-		os.Exit(1)
-	}
-	if *csv {
-		err = tbl.CSV(os.Stdout)
-	} else {
-		err = tbl.Fprint(os.Stdout)
+		err = runFigures(o, *fig, *server, *pairs, *csv)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ffq-micro:", err)
@@ -164,18 +158,66 @@ func main() {
 	}
 }
 
-// runStatsSweep executes the instrumented sweep and writes the JSON
-// records.
-func runStatsSweep(o experiments.Options, path, variant string, producers, consumers, batch int, latency bool) error {
-	v, err := parseVariant(variant)
+// runFigures prints the tables -fig name selects; "all" prints every
+// figure after a header describing the host.
+func runFigures(o experiments.Options, name, server string, pairs int, csv bool) error {
+	cache, err := cachesim.ServerConfig(server)
 	if err != nil {
 		return err
 	}
-	recs, err := experiments.StatsSweep(o, v, producers, consumers, batch, latency)
+	o.Cache = &cache
+	figs, err := pickFigures(experiments.Figures(o, pairs), name)
 	if err != nil {
 		return err
 	}
-	return writeRecords(path, recs)
+	start := time.Now()
+	if name == "all" {
+		top := affinity.Detect()
+		fmt.Printf("# FFQ reproduction run\n")
+		fmt.Printf("date: %s\n", start.Format(time.RFC3339))
+		fmt.Printf("go: %s  GOOS/GOARCH: %s/%s  NumCPU: %d  cores: %d  pinning: %v\n",
+			runtime.Version(), runtime.GOOS, runtime.GOARCH,
+			runtime.NumCPU(), top.NumCores(), affinity.Supported())
+		fmt.Printf("runs=%d scale=%g\n\n", o.Runs, o.Scale)
+	}
+	for _, f := range figs {
+		tbl, err := f.Run()
+		if err != nil {
+			return fmt.Errorf("figure %s: %w", f.Name, err)
+		}
+		if err := printTable(tbl, csv); err != nil {
+			return err
+		}
+	}
+	if name == "all" {
+		fmt.Printf("total wall time: %s\n", time.Since(start).Round(time.Second))
+	}
+	return nil
+}
+
+// pickFigures returns the figures -fig name selects: all of them for
+// "all", otherwise the one entry of that name.
+func pickFigures(figs []experiments.Figure, name string) ([]experiments.Figure, error) {
+	if name == "all" {
+		return figs, nil
+	}
+	names := make([]string, 0, len(figs)+1)
+	for _, f := range figs {
+		if f.Name == name {
+			return []experiments.Figure{f}, nil
+		}
+		names = append(names, f.Name)
+	}
+	names = append(names, "all")
+	return nil, fmt.Errorf("unknown figure %q (have %s)", name, strings.Join(names, ", "))
+}
+
+// printTable writes tbl to stdout as an aligned table or as CSV.
+func printTable(tbl *report.Table, csv bool) error {
+	if csv {
+		return tbl.CSV(os.Stdout)
+	}
+	return tbl.Fprint(os.Stdout)
 }
 
 // parseVariant maps the -variant flag onto the workload enum.
@@ -246,12 +288,7 @@ func runLatency(o experiments.Options, variant string, producers, consumers, bat
 		addLat("enqueue-op", res.Stats.EnqLatency)
 		addLat("dequeue-op", res.Stats.DeqLatency)
 	}
-	if csv {
-		err = tbl.CSV(os.Stdout)
-	} else {
-		err = tbl.Fprint(os.Stdout)
-	}
-	if err != nil {
+	if err := printTable(tbl, csv); err != nil {
 		return err
 	}
 	if s := res.Stats; s != nil && s.StallEvents > 0 {
@@ -265,23 +302,13 @@ func runLatency(o experiments.Options, variant string, producers, consumers, bat
 	return nil
 }
 
-// runShardedCompare executes the sharded-vs-MPMC fan-in comparison and
-// writes the JSON records (including the speedup ratio).
-func runShardedCompare(o experiments.Options, path string, producers, consumers int) error {
-	recs, err := experiments.ShardedVsMPMC(o, producers, consumers)
-	if err != nil {
-		return err
-	}
-	return writeRecords(path, recs)
-}
-
 // runShmSweep executes the shared-memory transport sweep with the
 // producer in a separate process — this binary re-exec'd with the
-// hidden -shm-child flags — and writes the JSON records.
-func runShmSweep(o experiments.Options, path string, slotSize, capacity int) error {
+// hidden -shm-child flags.
+func runShmSweep(o experiments.Options, slotSize, capacity int) ([]report.Record, error) {
 	exe, err := os.Executable()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	spawn := func(batch int) func(segPath string) (func() error, error) {
 		return func(segPath string) (func() error, error) {
@@ -299,21 +326,7 @@ func runShmSweep(o experiments.Options, path string, slotSize, capacity int) err
 			return cmd.Wait, nil
 		}
 	}
-	recs, err := experiments.ShmSweep(o, slotSize, capacity, nil, spawn)
-	if err != nil {
-		return err
-	}
-	return writeRecords(path, recs)
-}
-
-// runBrokerSweep executes the ffqd loopback broker sweep and writes
-// the JSON records.
-func runBrokerSweep(o experiments.Options, path, transport string, producers, consumers int) error {
-	recs, err := experiments.BrokerSweep(o, transport, producers, consumers, nil)
-	if err != nil {
-		return err
-	}
-	return writeRecords(path, recs)
+	return experiments.ShmSweep(o, slotSize, capacity, nil, spawn)
 }
 
 // writeRecords writes a JSON record array to path ("-" = stdout).

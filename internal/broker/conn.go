@@ -336,7 +336,8 @@ func (c *conn) handleConsumeFrom(f wire.Frame) error {
 // lossless for accepted PRODUCE frames. The pump holds one lane per
 // topic (nil after a failed acquisition: ingest then uses the shared
 // fallback lane) and releases them when it exits. A batch the log
-// rejects kills the connection unacknowledged.
+// rejects is never acknowledged: the pump sends ERR and closes the
+// connection.
 func (c *conn) pumpLoop() {
 	defer c.b.pumpWG.Done()
 	seqs := map[*topic]uint64{}
@@ -363,7 +364,13 @@ func (c *conn) pumpLoop() {
 			}
 			var err error
 			if scratch, err = st.t.ingest(h, st.payloads, st.stamp, scratch); err != nil {
+				// Report the append failure and close the socket: the
+				// reader's next read fails and tears the connection
+				// down, so the client's publishes fail instead of
+				// waiting forever on ACKs that never come.
+				c.writeErrCode(wire.ECodeGeneric, 0, err.Error())
 				c.dead.Store(true)
+				c.nc.Close()
 				continue
 			}
 			if !slices.Contains(touched, st.t) {

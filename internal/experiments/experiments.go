@@ -2,9 +2,9 @@
 // evaluation (Figures 2-8; the paper has no numbered tables). Each
 // FigN function runs the corresponding experiment at a configurable
 // scale and returns a report.Table whose rows are the figure's data
-// series. The cmd/ tools and the repository-level benchmarks are thin
-// wrappers around this package; EXPERIMENTS.md records one full-scale
-// output of each function next to the paper's reported shape.
+// series; Figures lists them all for `ffq-micro -fig`. EXPERIMENTS.md
+// records one output of each function next to the paper's reported
+// shape.
 package experiments
 
 import (
@@ -22,6 +22,7 @@ import (
 	"ffq/internal/perfmodel"
 	"ffq/internal/report"
 	"ffq/internal/spscqueues"
+	"ffq/internal/stats"
 	"ffq/internal/syscalls"
 	"ffq/internal/workload"
 )
@@ -87,6 +88,18 @@ func (o *Options) fill() {
 	}
 }
 
+// repeatMicro runs the microbenchmark runs times and summarizes its
+// throughput in Mops/s.
+func repeatMicro(runs int, cfg workload.MicroConfig) (stats.Summary, error) {
+	return harness.RepeatErr(runs, func() (float64, error) {
+		res, err := workload.RunMicro(cfg)
+		if err != nil {
+			return 0, err
+		}
+		return res.MopsPerSec(), nil
+	})
+}
+
 // Fig2 reproduces the false-sharing study: FFQ^m throughput under the
 // four cell layouts for 1p/1c, 1p/8c and 8p/8c-per-producer,
 // normalized to the not-aligned layout (Figure 2).
@@ -109,21 +122,15 @@ func Fig2(o Options) (*report.Table, error) {
 	for _, c := range cases {
 		var mops [4]float64
 		for i, layout := range core.Layouts {
-			sum, err := harness.RepeatErr(o.Runs, func() (float64, error) {
-				res, err := workload.RunMicro(workload.MicroConfig{
-					Variant:              workload.VariantMPMC,
-					Layout:               layout,
-					Producers:            c.producers,
-					ConsumersPerProducer: c.consumers,
-					ItemsPerProducer:     items,
-					QueueSize:            1 << 10,
-					Policy:               affinity.NoAffinity,
-					Topology:             o.Topology,
-				})
-				if err != nil {
-					return 0, err
-				}
-				return res.MopsPerSec(), nil
+			sum, err := repeatMicro(o.Runs, workload.MicroConfig{
+				Variant:              workload.VariantMPMC,
+				Layout:               layout,
+				Producers:            c.producers,
+				ConsumersPerProducer: c.consumers,
+				ItemsPerProducer:     items,
+				QueueSize:            1 << 10,
+				Policy:               affinity.NoAffinity,
+				Topology:             o.Topology,
 			})
 			if err != nil {
 				return nil, err
@@ -150,22 +157,15 @@ func Fig3(o Options) (*report.Table, error) {
 		Columns: []string{"entries", "Mops/s", "sd"},
 	}
 	for _, size := range harness.PowersOfTwo(o.MinSizeExp, o.MaxSizeExp) {
-		size := size
-		sum, err := harness.RepeatErr(o.Runs, func() (float64, error) {
-			res, err := workload.RunMicro(workload.MicroConfig{
-				Variant:              workload.VariantSPMC,
-				Layout:               core.LayoutPadded,
-				Producers:            1,
-				ConsumersPerProducer: 1,
-				ItemsPerProducer:     items,
-				QueueSize:            size,
-				Policy:               affinity.NoAffinity,
-				Topology:             o.Topology,
-			})
-			if err != nil {
-				return 0, err
-			}
-			return res.MopsPerSec(), nil
+		sum, err := repeatMicro(o.Runs, workload.MicroConfig{
+			Variant:              workload.VariantSPMC,
+			Layout:               core.LayoutPadded,
+			Producers:            1,
+			ConsumersPerProducer: 1,
+			ItemsPerProducer:     items,
+			QueueSize:            size,
+			Policy:               affinity.NoAffinity,
+			Topology:             o.Topology,
 		})
 		if err != nil {
 			return nil, err
@@ -249,21 +249,15 @@ func Fig6(o Options, pairs int) (*report.Table, error) {
 	for _, size := range harness.PowersOfTwo(o.MinSizeExp, o.MaxSizeExp) {
 		row := []any{size}
 		for _, policy := range affinity.Policies {
-			sum, err := harness.RepeatErr(o.Runs, func() (float64, error) {
-				res, err := workload.RunMicro(workload.MicroConfig{
-					Variant:              workload.VariantSPMC,
-					Layout:               core.LayoutPadded,
-					Producers:            pairs,
-					ConsumersPerProducer: 1,
-					ItemsPerProducer:     items,
-					QueueSize:            size,
-					Policy:               policy,
-					Topology:             o.Topology,
-				})
-				if err != nil {
-					return 0, err
-				}
-				return res.MopsPerSec(), nil
+			sum, err := repeatMicro(o.Runs, workload.MicroConfig{
+				Variant:              workload.VariantSPMC,
+				Layout:               core.LayoutPadded,
+				Producers:            pairs,
+				ConsumersPerProducer: 1,
+				ItemsPerProducer:     items,
+				QueueSize:            size,
+				Policy:               policy,
+				Topology:             o.Topology,
 			})
 			if err != nil {
 				return nil, err
@@ -354,13 +348,10 @@ func Fig8(o Options) (*report.Table, error) {
 			o.Runs, totalPairs),
 	}
 	threads := harness.ThreadSweep(o.MaxThreads)
-	t.Columns = append([]string{"queue"}, func() []string {
-		var cols []string
-		for _, th := range threads {
-			cols = append(cols, fmt.Sprintf("t=%d", th))
-		}
-		return cols
-	}()...)
+	t.Columns = []string{"queue"}
+	for _, th := range threads {
+		t.Columns = append(t.Columns, fmt.Sprintf("t=%d", th))
+	}
 	for _, f := range allqueues.Factories() {
 		row := []any{f.Name}
 		for _, th := range threads {
@@ -387,33 +378,31 @@ func Fig8(o Options) (*report.Table, error) {
 	return t, nil
 }
 
-// All runs every figure at the given options, returning the tables in
-// paper order. pairs6 sets the pair count for Figure 6.
-func All(o Options, pairs6 int) ([]*report.Table, error) {
-	type gen struct {
-		name string
-		fn   func() (*report.Table, error)
-	}
-	gens := []gen{
-		{"fig2", func() (*report.Table, error) { return Fig2(o) }},
-		{"fig3", func() (*report.Table, error) { return Fig3(o) }},
-		{"fig4", func() (*report.Table, error) { return Fig4(o) }},
-		{"fig5", func() (*report.Table, error) { return Fig5(o) }},
-		{"fig6", func() (*report.Table, error) { return Fig6(o, pairs6) }},
-		{"fig7-throughput", func() (*report.Table, error) { return Fig7Throughput(o) }},
-		{"fig7-latency", func() (*report.Table, error) { return Fig7Latency(o) }},
-		{"fig8", func() (*report.Table, error) { return Fig8(o) }},
+// Figure is one table of the evaluation: the name `ffq-micro -fig`
+// selects it by, and the experiment that regenerates it.
+type Figure struct {
+	Name string
+	Run  func() (*report.Table, error)
+}
+
+// Figures lists every table of the evaluation in paper order, each
+// bound to o: Figures 2-8 (7 and 8 each gain a latency panel; 8's runs
+// the pairs workload at o.MaxThreads threads) and the Section II SPSC
+// lineage. pairs6 sets the pair count for Figure 6.
+func Figures(o Options, pairs6 int) []Figure {
+	o.fill()
+	return []Figure{
+		{"2", func() (*report.Table, error) { return Fig2(o) }},
+		{"3", func() (*report.Table, error) { return Fig3(o) }},
+		{"4", func() (*report.Table, error) { return Fig4(o) }},
+		{"5", func() (*report.Table, error) { return Fig5(o) }},
+		{"6", func() (*report.Table, error) { return Fig6(o, pairs6) }},
+		{"7", func() (*report.Table, error) { return Fig7Throughput(o) }},
+		{"7-latency", func() (*report.Table, error) { return Fig7Latency(o) }},
+		{"8", func() (*report.Table, error) { return Fig8(o) }},
+		{"8-latency", func() (*report.Table, error) { return PairsLatency(o, o.MaxThreads) }},
 		{"spsc-lineage", func() (*report.Table, error) { return SPSCLineage(o) }},
 	}
-	var out []*report.Table
-	for _, g := range gens {
-		tbl, err := g.fn()
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", g.name, err)
-		}
-		out = append(out, tbl)
-	}
-	return out, nil
 }
 
 // SPSCLineage benchmarks the related-work SPSC queues of Section II
@@ -423,18 +412,15 @@ func All(o Options, pairs6 int) ([]*report.Table, error) {
 func SPSCLineage(o Options) (*report.Table, error) {
 	o.fill()
 	items := harness.ScaleInt(2_000_000, o.Scale, 5000)
-	sizes := harness.PowersOfTwo(o.MinSizeExp, minInt(o.MaxSizeExp, 16))
+	sizes := harness.PowersOfTwo(o.MinSizeExp, min(o.MaxSizeExp, 16))
 	t := &report.Table{
 		Title: "SPSC lineage (Section II): streaming transfer throughput, Mops/s",
 		Note:  fmt.Sprintf("runs=%d items=%d", o.Runs, items),
 	}
-	t.Columns = append([]string{"queue"}, func() []string {
-		var cols []string
-		for _, s := range sizes {
-			cols = append(cols, fmt.Sprintf("cap=%d", s))
-		}
-		return cols
-	}()...)
+	t.Columns = []string{"queue"}
+	for _, size := range sizes {
+		t.Columns = append(t.Columns, fmt.Sprintf("cap=%d", size))
+	}
 	for _, f := range spscqueues.Factories() {
 		row := []any{f.Name}
 		for _, size := range sizes {
@@ -458,13 +444,6 @@ func SPSCLineage(o Options) (*report.Table, error) {
 		t.AddRow(row...)
 	}
 	return t, nil
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // PairsLatency measures per-operation latency percentiles for every

@@ -121,20 +121,28 @@ func TestFig8Shape(t *testing.T) {
 	}
 }
 
+// TestAllRuns runs every entry of Figures: ten tables under unique
+// names, each with a title and rows.
 func TestAllRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every experiment")
 	}
-	tables, err := All(micro(), 1)
-	if err != nil {
-		t.Fatal(err)
+	figs := Figures(micro(), 1)
+	if len(figs) != 10 { // figures 2-8, latency panels of 7 and 8, SPSC lineage
+		t.Fatalf("figures = %d, want 10", len(figs))
 	}
-	if len(tables) != 9 { // figures 2-8 (7 is two panels) + SPSC lineage
-		t.Fatalf("tables = %d", len(tables))
-	}
-	for _, tbl := range tables {
+	seen := map[string]bool{}
+	for _, f := range figs {
+		if seen[f.Name] {
+			t.Errorf("duplicate figure name %q", f.Name)
+		}
+		seen[f.Name] = true
+		tbl, err := f.Run()
+		if err != nil {
+			t.Fatalf("figure %s: %v", f.Name, err)
+		}
 		if tbl.Title == "" || len(tbl.Rows) == 0 {
-			t.Errorf("empty table %q", tbl.Title)
+			t.Errorf("figure %s: empty table %q", f.Name, tbl.Title)
 		}
 	}
 }
