@@ -12,9 +12,12 @@
 //	                                       ▼
 //	                                     conn writer
 //
-// The reader decodes PRODUCE frames and stages each batch — one arena
-// copy per frame — into its connection's SPSC queue (the paper's
-// one-queue-per-producer shape). The SPSC queue is bounded, so a
+// The reader decodes PRODUCE frames and stages each batch — one owned
+// copy of the frame's batch body, never one per message — into its
+// connection's SPSC queue (the paper's one-queue-per-producer shape).
+// The lanes carry sub-slices of that copy, so a message still queued
+// pins its frame body: per lane, at most lane depth × the largest
+// frame. The SPSC queue is bounded, so a
 // producer that outruns the broker stalls its own reader and the
 // backpressure propagates into TCP, never into other connections.
 //

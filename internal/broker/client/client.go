@@ -252,12 +252,15 @@ func (c *Client) readLoop() {
 				c.mu.Lock()
 				s := c.subs[string(topic)][part]
 				c.mu.Unlock()
-				msgs := wire.CopyMessages(&b)
 				if s == nil || s.mch == nil {
 					continue // subscription raced away; drop
 				}
-				for i, m := range msgs {
-					s.mch <- Msg{Offset: base + uint64(i), Payload: m}
+				// One copy per DELIVER frame; the payloads handed to Recv
+				// are sub-slices of it.
+				b = b.Clone()
+				for off := base; b.N > 0; off++ {
+					m, _ := b.Next()
+					s.mch <- Msg{Offset: off, Payload: m}
 				}
 				continue
 			}
@@ -269,11 +272,11 @@ func (c *Client) readLoop() {
 			c.mu.Lock()
 			s := c.subs[string(p.Topic)][p.Part]
 			c.mu.Unlock()
-			msgs := wire.CopyMessages(&p.Batch)
 			if s == nil {
 				continue // subscription raced away; drop
 			}
-			for _, m := range msgs {
+			b := p.Batch.Clone()
+			for m, ok := b.Next(); ok; m, ok = b.Next() {
 				s.ch <- m
 			}
 		case wire.TAck:
@@ -394,13 +397,21 @@ type pub struct {
 	topic []byte
 	part  uint32
 
-	mu      sync.Mutex
-	cond    *sync.Cond
+	mu   sync.Mutex
+	cond *sync.Cond
+	// arena holds the pending messages' bytes back to back from offset
+	// 0; pending[i] is message i's sub-slice of it. A flush encodes the
+	// frame it sends and compacts both, so the arena stays within one
+	// unsent batch and Publish stops allocating once it has grown.
+	arena   []byte
 	pending [][]byte
 	// sent/acked track the pipeline window in messages; acked is the
 	// broker's cumulative ACK.
 	sent, acked uint64
-	timerArmed  bool
+	// timer is the FlushInterval timer, made by the first Publish that
+	// arms it and re-armed with Reset after it fires.
+	timer      *time.Timer
+	timerArmed bool
 }
 
 // pub returns (creating) the publish state for (topic, part).
@@ -438,13 +449,19 @@ func (c *Client) PublishPart(topic string, part uint32, msg []byte) error {
 	if err := c.Err(); err != nil {
 		return err
 	}
-	p.pending = append(p.pending, append([]byte(nil), msg...))
+	start := len(p.arena)
+	p.arena = append(p.arena, msg...)
+	p.pending = append(p.pending, p.arena[start:len(p.arena):len(p.arena)])
 	if len(p.pending) >= c.opts.MaxBatch {
 		return p.flushLocked()
 	}
 	if !p.timerArmed {
 		p.timerArmed = true
-		time.AfterFunc(c.opts.FlushInterval, p.timerFlush)
+		if p.timer == nil {
+			p.timer = time.AfterFunc(c.opts.FlushInterval, p.timerFlush)
+		} else {
+			p.timer.Reset(c.opts.FlushInterval)
+		}
 	}
 	return nil
 }
@@ -462,11 +479,14 @@ func (p *pub) timerFlush() {
 // flushLocked sends the pending batch as PRODUCE frames, waiting for
 // window space as needed. Callers hold p.mu.
 //
-// The socket write happens with p.mu RELEASED (wmu alone orders the
-// frames): the read loop takes p.mu to process ACKs, and on a
-// synchronous transport (net.Pipe) a write can only complete once the
-// peer's reads progress — holding p.mu across the write would deadlock
-// the window against its own acknowledgements.
+// Each frame is encoded into wbuf while p.mu is still held, because
+// the pending messages alias the arena that concurrent Publishes
+// refill once it is released. The socket write happens with p.mu
+// RELEASED (wmu alone orders the frames): the read loop takes p.mu to
+// process ACKs, and on a synchronous transport (net.Pipe) a write can
+// only complete once the peer's reads progress — holding p.mu across
+// the write would deadlock the window against its own
+// acknowledgements.
 func (p *pub) flushLocked() error {
 	c := p.c
 	for len(p.pending) > 0 {
@@ -478,18 +498,14 @@ func (p *pub) flushLocked() error {
 		}
 		room := c.opts.Window - int(p.sent-p.acked)
 		n := min(len(p.pending), c.opts.MaxBatch, room)
-		// Copy the slice headers: the pending buffer is compacted (and
-		// refilled by concurrent Publishes) once p.mu is released.
-		batch := make([][]byte, n)
-		copy(batch, p.pending[:n])
-		p.sent += uint64(n)
-		p.pending = append(p.pending[:0], p.pending[n:]...)
 		// Taking wmu before releasing p.mu keeps frame order equal to
 		// window order when Publish and the flush timer race.
 		c.wmu.Lock()
-		p.mu.Unlock()
 		c.wbuf.Reset()
-		c.wbuf.PutProduce(0, p.topic, p.part, batch)
+		c.wbuf.PutProduce(0, p.topic, p.part, p.pending[:n])
+		p.sent += uint64(n)
+		p.compact(n)
+		p.mu.Unlock()
 		_, err := c.nc.Write(c.wbuf.Bytes())
 		c.wmu.Unlock()
 		p.mu.Lock()
@@ -498,6 +514,24 @@ func (p *pub) flushLocked() error {
 		}
 	}
 	return nil
+}
+
+// compact drops the first n pending messages, moving the rest to the
+// front of the arena. Callers hold p.mu.
+func (p *pub) compact(n int) {
+	rest := p.pending[n:]
+	sent := len(p.arena)
+	for _, m := range rest {
+		sent -= len(m)
+	}
+	p.arena = p.arena[:copy(p.arena, p.arena[sent:])]
+	off := 0
+	for i, m := range rest {
+		p.pending[i] = p.arena[off : off+len(m) : off+len(m)]
+		off += len(m)
+	}
+	clear(p.pending[len(rest):])
+	p.pending = p.pending[:len(rest)]
 }
 
 // Flush sends every topic's pending batch now.

@@ -26,14 +26,16 @@ type wireError struct {
 
 func (e *wireError) Error() string { return e.msg }
 
-// staged is one PRODUCE batch copied out of the reader's frame buffer
-// and parked in the connection's ingress queue until the pump ingests
-// it into the topic. stamp is the frame's decode time (zero when the
+// staged is one validated PRODUCE batch, cloned out of the reader's
+// frame buffer into one owned copy and parked in the connection's
+// ingress queue until the pump ingests it into the topic. The lanes
+// carry sub-slices of that copy, so a message still in a lane pins its
+// whole frame body. stamp is the frame's decode time (zero when the
 // topic has no latency histogram).
 type staged struct {
-	t        *topic
-	payloads [][]byte
-	stamp    int64
+	t     *topic
+	batch wire.Batch
+	stamp int64
 }
 
 // stagingSlots is the ingress queue's capacity in PRODUCE frames: a
@@ -170,7 +172,7 @@ func (c *conn) handleFrame(f wire.Frame, drainMode bool) error {
 			}
 			c.lastTopic = t
 		}
-		st := staged{t: t, payloads: wire.CopyMessages(&p.Batch)}
+		st := staged{t: t, batch: p.Batch.Clone()}
 		if t.lat != nil {
 			st.stamp = time.Now().UnixNano()
 		}
@@ -179,7 +181,7 @@ func (c *conn) handleFrame(f wire.Frame, drainMode bool) error {
 		case c.wake <- struct{}{}:
 		default: // a wakeup is already pending
 		}
-		c.b.m.MsgsIn.Add(int64(len(st.payloads)))
+		c.b.m.MsgsIn.Add(int64(st.batch.N))
 		c.b.m.ProduceFrames.Add(1)
 		return nil
 
@@ -330,9 +332,10 @@ func (c *conn) handleConsumeFrom(f wire.Frame) error {
 }
 
 // pumpLoop ingests staged batches into their topics: drain the
-// ingress queue until it is empty, send one cumulative ACK per touched
-// topic, park on wake. The reader stages nothing after closing wake,
-// so the last drain sees everything staged, which makes Shutdown
+// ingress queue until it is empty (walking each batch into a reused
+// payload scratch for topic.ingest), send one cumulative ACK per
+// touched topic, park on wake. The reader stages nothing after closing
+// wake, so the last drain sees everything staged, which makes Shutdown
 // lossless for accepted PRODUCE frames. The pump holds one lane per
 // topic (nil after a failed acquisition: ingest then uses the shared
 // fallback lane) and releases them when it exits. A batch the log
@@ -350,6 +353,7 @@ func (c *conn) pumpLoop() {
 			}
 		}
 	}()
+	var payloads [][]byte
 	var scratch []msg
 	for open := true; ; {
 		for {
@@ -357,13 +361,17 @@ func (c *conn) pumpLoop() {
 			if !ok {
 				break
 			}
+			payloads = payloads[:0]
+			for m, ok := st.batch.Next(); ok; m, ok = st.batch.Next() {
+				payloads = append(payloads, m)
+			}
 			h, seen := lanes[st.t]
 			if !seen {
 				h, _ = st.t.q.AcquireProducer()
 				lanes[st.t] = h
 			}
 			var err error
-			if scratch, err = st.t.ingest(h, st.payloads, st.stamp, scratch); err != nil {
+			if scratch, err = st.t.ingest(h, payloads, st.stamp, scratch); err != nil {
 				// Report the append failure and close the socket: the
 				// reader's next read fails and tears the connection
 				// down, so the client's publishes fail instead of
@@ -376,7 +384,7 @@ func (c *conn) pumpLoop() {
 			if !slices.Contains(touched, st.t) {
 				touched = append(touched, st.t)
 			}
-			seqs[st.t] += uint64(len(st.payloads))
+			seqs[st.t] += uint64(len(payloads))
 		}
 		for _, t := range touched {
 			c.writeAck(0, t.nameBytes, t.part, seqs[t])

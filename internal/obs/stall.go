@@ -135,7 +135,11 @@ func (st *Stall) Threshold() time.Duration { return time.Duration(st.thresholdNS
 // the stall threshold, emitting the detection event when it has.
 // Called from inside a Recorder instrumentation guard.
 func (st *Stall) check(role Role, rank int64, waitStart time.Time) bool {
-	d := int64(time.Since(waitStart))
+	return st.checkWaited(role, rank, int64(time.Since(waitStart)))
+}
+
+// checkWaited is check for a wait that has lasted d nanoseconds so far.
+func (st *Stall) checkWaited(role Role, rank, d int64) bool {
 	if d < st.thresholdNS {
 		return false
 	}

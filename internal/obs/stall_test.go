@@ -28,7 +28,10 @@ func TestStallDefaults(t *testing.T) {
 // that slipped past every check emits at completion instead.
 func TestStallCheckAndComplete(t *testing.T) {
 	st := newStall(time.Microsecond, 8)
-	if st.check(RoleConsumer, 7, time.Now()) {
+	// A fresh wait is given as its duration: timing it with the clock
+	// would let a preemption between the two reads cross the 1us
+	// threshold.
+	if st.checkWaited(RoleConsumer, 7, 0) || st.checkWaited(RoleConsumer, 7, int64(time.Microsecond)-1) {
 		t.Fatal("fresh wait reported as stall")
 	}
 	old := time.Now().Add(-time.Millisecond)

@@ -186,32 +186,63 @@ func (c *Consumer) Next(buf []byte) (int, error) {
 	}
 }
 
-// TryDrain appends up to max freshly allocated payload copies to dst
-// and returns it, never blocking. An empty return with a nil error
-// just means nothing was published.
+// TryDrain appends up to max payloads to dst and returns it, never
+// blocking. Each call copies what it drains into one arena, sized from
+// the values visible when the call starts, so a drain costs one
+// allocation whatever its length; the payloads are sub-slices of that
+// arena and pin it while any of them is referenced. An empty return
+// with a nil error just means nothing was published.
 func (c *Consumer) TryDrain(dst [][]byte, max int) ([][]byte, error) {
-	for len(dst) < max && c.refill() {
-		line := c.chead & (c.seg.geo.Lines - 1)
-		slot := c.seg.slot(line, c.coff)
-		n := int(binary.LittleEndian.Uint32(slot))
-		if n > c.seg.geo.SlotSize {
-			return dst, fmt.Errorf("%w: slot length %d exceeds slot size %d", ErrBadSegment, n, c.seg.geo.SlotSize)
-		}
-		payload := make([]byte, n)
-		copy(payload, slot[4:4+n])
-		dst = append(dst, payload)
-		c.coff++
-		c.deqTotal++
-		if c.coff == c.seg.geo.ValsPerLine {
-			c.seg.cellSeq(line).Store((c.chead+c.seg.geo.Lines)<<seqShift | stateFree)
-			c.chead++
-			c.coff, c.ccount = 0, 0
-		}
+	count, total, err := c.visible(max - len(dst))
+	if count == 0 || err != nil {
+		return dst, err
 	}
-	if len(dst) > 0 {
-		c.seg.word(offDeqCount).Store(c.deqTotal)
+	arena := make([]byte, total)
+	off := 0
+	for i := 0; i < count && c.refill(); i++ {
+		// A published slot never changes until it is handed back, so the
+		// lengths visible summed still hold; one that grew means the
+		// mapping was corrupted, and take reports it.
+		n, err := c.take(arena[off:])
+		if err != nil {
+			c.seg.word(offDeqCount).Store(c.deqTotal)
+			return dst, err
+		}
+		dst = append(dst, arena[off:off+n:off+n])
+		off += n
 	}
+	c.seg.word(offDeqCount).Store(c.deqTotal)
 	return dst, nil
+}
+
+// visible counts the published values past the consumer's position, up
+// to max, and sums their payload lengths, without consuming anything.
+// It stops at the first line the producer has not filled, like refill.
+func (c *Consumer) visible(max int) (count, total int, err error) {
+	rank, off := c.chead, c.coff
+	//ffq:ignore spin-backoff not a wait loop: each iteration counts one published line and it stops at the first line not yet full, so it runs at most max values
+	for count < max {
+		line := rank & (c.seg.geo.Lines - 1)
+		s := c.seg.cellSeq(line).Load()
+		st := s & stateMask
+		if s>>seqShift != rank || st == stateFree || int(st) <= off {
+			return count, total, nil
+		}
+		for ; off < int(st) && count < max; off++ {
+			n := int(binary.LittleEndian.Uint32(c.seg.slot(line, off)))
+			if n > c.seg.geo.SlotSize {
+				return 0, 0, fmt.Errorf("%w: slot length %d exceeds slot size %d", ErrBadSegment, n, c.seg.geo.SlotSize)
+			}
+			count++
+			total += n
+		}
+		if off < c.seg.geo.ValsPerLine {
+			return count, total, nil
+		}
+		rank++
+		off = 0
+	}
+	return count, total, nil
 }
 
 // Detach unregisters this consumer (clearing the heartbeat PID so a

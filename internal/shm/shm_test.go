@@ -277,6 +277,78 @@ func TestShmConsumerCrashResumeMultiLine(t *testing.T) {
 	}
 }
 
+// TestShmTryDrainOneArena: a drain copies what it takes into one
+// arena sized from the values visible when it starts, across line
+// boundaries and up to a partly published line, and honours max. The
+// payloads stay intact once the producer refills their slots, and an
+// append to one cannot spill into the next.
+func TestShmTryDrainOneArena(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "seg.ffq")
+	p, err := Create(path, "t", 4, 56) // 7 values/line, 8 lines
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Detach()
+	c, err := Attach(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Detach()
+	// Payload i is 1 to 4 bytes long, each byte derived from i.
+	var buf [4]byte
+	payload := func(i int) []byte {
+		for k := range buf {
+			buf[k] = byte(i + k)
+		}
+		return buf[:1+i%4]
+	}
+	publish := func(from, to int) {
+		for i := from; i < to; i++ {
+			if err := p.Enqueue(payload(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	check := func(got [][]byte, from int) {
+		t.Helper()
+		for k, m := range got {
+			if want := payload(from + k); string(m) != string(want) || cap(m) != len(m) {
+				t.Fatalf("payload %d = %q (cap %d), want %q", from+k, m, cap(m), want)
+			}
+		}
+	}
+
+	publish(0, 17) // two full lines and three values of the third
+	first, err := c.TryDrain(nil, 10)
+	if err != nil || len(first) != 10 {
+		t.Fatalf("TryDrain(max 10) = %d payloads, err %v", len(first), err)
+	}
+	rest, err := c.TryDrain(nil, 64)
+	if err != nil || len(rest) != 7 {
+		t.Fatalf("TryDrain(max 64) = %d payloads, err %v; want the 7 visible", len(rest), err)
+	}
+	_ = append(first[0], "spill"...)
+	// Refill the slots the drains read: the rest of the third line,
+	// then the ring round to it again (70 values, ten full lines).
+	publish(17, 70)
+	check(first, 0)
+	check(rest, 10)
+	if all, err := c.TryDrain(nil, 64); err != nil || len(all) != 53 {
+		t.Fatalf("TryDrain = %d payloads, err %v; want 53", len(all), err)
+	}
+
+	dst := make([][]byte, 0, 64)
+	allocs := testing.AllocsPerRun(20, func() {
+		publish(0, 14)
+		if dst, err = c.TryDrain(dst[:0], 64); err != nil || len(dst) != 14 {
+			t.Fatalf("TryDrain = %d payloads, err %v; want 14", len(dst), err)
+		}
+	})
+	if allocs != 1 {
+		t.Fatalf("a drain allocated %.1f times, want one arena", allocs)
+	}
+}
+
 // TestShmTryDequeueTruncated: an undersized buffer consumes the value
 // and must say so — ok=true with ErrTruncated — so a caller retrying
 // on !ok cannot mistake the loss for "nothing ready".

@@ -219,8 +219,9 @@ type Log struct {
 	dirty      bool  // bytes written since the last fsync
 	sealed     bool
 	closed     bool
-	// notify is closed and replaced on every append and at Seal, so
-	// head followers can wait without polling.
+	// notify is made by the first WaitAppend that must park and closed
+	// (then dropped) by the next append, reset or Seal, so head followers
+	// wait without polling and an append nobody waits for pays nothing.
 	notify chan struct{}
 	enc    []byte // record scratch buffer
 
@@ -244,7 +245,6 @@ func Open(dir string, opts Options) (*Log, error) {
 	l := &Log{
 		dir:      dir,
 		opts:     opts,
-		notify:   make(chan struct{}),
 		stopSync: make(chan struct{}),
 	}
 	if err := l.recover(); err != nil {
@@ -462,9 +462,7 @@ func (l *Log) appendLocked(payloads [][]byte) (base uint64, err error) {
 	binary.BigEndian.PutUint32(rec[0:], uint32(12+bodyLen))
 	binary.BigEndian.PutUint64(rec[8:], l.next)
 	wire.EncodeBatch(rec[recHeader:], payloads)
-	crc := crc32.NewIEEE()
-	crc.Write(rec[8:])
-	binary.BigEndian.PutUint32(rec[4:], crc.Sum32())
+	binary.BigEndian.PutUint32(rec[4:], crc32.ChecksumIEEE(rec[8:]))
 
 	if l.activeSize > 0 && l.activeSize+int64(recLen) > l.opts.SegmentBytes {
 		if err := l.rollLocked(); err != nil {
@@ -486,8 +484,7 @@ func (l *Log) appendLocked(payloads [][]byte) (base uint64, err error) {
 			return 0, err
 		}
 	}
-	close(l.notify)
-	l.notify = make(chan struct{})
+	l.wakeLocked()
 	return base, nil
 }
 
@@ -602,8 +599,7 @@ func (l *Log) ResetTo(base uint64) error {
 	l.oldest = base
 	l.total = 0
 	l.dirty = false
-	close(l.notify)
-	l.notify = make(chan struct{})
+	l.wakeLocked()
 	return nil
 }
 
@@ -641,8 +637,7 @@ func (l *Log) Seal() error {
 	if l.active != nil {
 		err = l.fsyncLocked()
 	}
-	close(l.notify)
-	l.notify = make(chan struct{})
+	l.wakeLocked()
 	return err
 }
 
@@ -722,7 +717,19 @@ func (l *Log) WaitAppend(off uint64) <-chan struct{} {
 	if l.next > off || l.sealed {
 		return closedChan
 	}
+	if l.notify == nil {
+		l.notify = make(chan struct{})
+	}
 	return l.notify
+}
+
+// wakeLocked releases every WaitAppend parked on the current notify
+// channel. Callers hold l.mu.
+func (l *Log) wakeLocked() {
+	if l.notify != nil {
+		close(l.notify)
+		l.notify = nil
+	}
 }
 
 var closedChan = func() chan struct{} {

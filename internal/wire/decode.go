@@ -9,7 +9,7 @@ import (
 // buffer: at steady state a connection's read loop allocates nothing.
 // The Body of a returned Frame aliases that buffer and is valid only
 // until the next call to Next; callers that stage messages past the
-// next read copy them out (see CopyMessages).
+// next read copy them out (see Batch.Clone).
 //
 // A Reader is not safe for concurrent use.
 type Reader struct {
@@ -185,16 +185,26 @@ func ParseBatch(b []byte) (Batch, error) {
 
 // Next yields the next message payload (aliasing the parsed body) and
 // reports whether one existed. It cannot fail: ParseBatch validated
-// every boundary.
+// every boundary. The payload's capacity ends at its last byte, so an
+// append to it reallocates instead of overwriting the next message.
 func (p *Batch) Next() ([]byte, bool) {
 	if p.N == 0 {
 		return nil, false
 	}
 	n := int(binary.BigEndian.Uint32(p.rest))
-	m := p.rest[4 : 4+n]
+	m := p.rest[4 : 4+n : 4+n]
 	p.rest = p.rest[4+n:]
 	p.N--
 	return m, true
+}
+
+// Clone returns p's remaining messages over one freshly allocated copy
+// of their encoded bytes. The clone's payloads outlive the Reader's
+// buffer, so a reader stages or hands on a whole batch for one
+// allocation; every payload pins that copy while it is referenced.
+func (p Batch) Clone() Batch {
+	p.rest = append([]byte(nil), p.rest...)
+	return p
 }
 
 // ProduceBody is a validated PRODUCE batch: the topic and partition
@@ -261,9 +271,9 @@ func ParseDeliverOffsets(f Frame) (topic []byte, part uint32, base uint64, b Bat
 
 // CopyMessages drains p's remaining messages into freshly owned
 // storage: one arena allocation holds every payload and one slice
-// header array points into it, so staging a whole batch past the
-// reader's buffer lifetime costs two allocations regardless of batch
-// size.
+// header array points into it, two allocations regardless of batch
+// size. The broker and the client stage batches with Clone instead;
+// only the benchmark's decode probe still calls CopyMessages.
 func CopyMessages(p *Batch) [][]byte {
 	total := 0
 	w := p.rest

@@ -516,6 +516,50 @@ func TestCopyMessages(t *testing.T) {
 	}
 }
 
+// TestBatchClone checks that a cloned batch stays intact after the
+// reader reuses its buffer for the next frame (one of the same size,
+// so the bytes really are overwritten), that cloning costs one
+// allocation, and that appending to a payload cannot spill into the
+// next one.
+func TestBatchClone(t *testing.T) {
+	var b Buffer
+	b.PutProduce(0, []byte("t"), NoPartition, [][]byte{[]byte("first"), []byte("second")})
+	b.PutProduce(0, []byte("t"), NoPartition, [][]byte{[]byte("FIRST"), []byte("SECOND")})
+
+	r := NewReader(bytes.NewReader(b.Bytes()))
+	f, err := r.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := ParseProduce(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	owned := p.Batch.Clone()
+	if allocs := testing.AllocsPerRun(10, func() { _ = p.Batch.Clone() }); allocs != 1 {
+		t.Fatalf("Clone allocated %.1f times, want 1", allocs)
+	}
+	f2, err := r.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &f2.Body[0] != &f.Body[0] {
+		t.Fatal("the reader did not reuse its buffer; the test overwrites nothing")
+	}
+	if m, _ := p.Next(); string(m) != "FIRST" {
+		t.Fatalf("the aliasing batch reads %q; the buffer was not overwritten", m)
+	}
+	first, _ := owned.Next()
+	_ = append(first, "XXXXXXXX"...)
+	second, _ := owned.Next()
+	if string(first) != "first" || string(second) != "second" {
+		t.Fatalf("clone corrupted: %q, %q", first, second)
+	}
+	if _, ok := owned.Next(); ok {
+		t.Fatal("clone yielded more messages than the batch holds")
+	}
+}
+
 // TestEncodersAllocationFree is the runtime counterpart of the
 // //ffq:hotpath markers: a warmed Buffer must encode without
 // allocating, in both the unpartitioned and partitioned forms.
