@@ -21,7 +21,6 @@ import (
 	"ffq/internal/enclave"
 	"ffq/internal/htmqueue"
 	"ffq/internal/perfmodel"
-	"ffq/internal/segq"
 	"ffq/internal/spscqueues"
 	"ffq/internal/syscalls"
 	"ffq/internal/workload"
@@ -243,84 +242,12 @@ func BenchmarkCoreOps(b *testing.B) {
 	})
 }
 
-// BenchmarkUnboundedOps prices the unbounded segmented queues
-// (internal/segq) against the bounded core variants. The single-op
-// sub-benchmarks are the acceptance gate for the segmented indirection
-// (useg-spmc/single must stay within ~15% of bounded-spmc/single at a
-// matching segment size); the batch sub-benchmarks show the native
-// contiguous-run reservations amortizing the tail publication and rank
-// claim (per-element cost at batch=64 should be at least 2x better
-// than batch=1). The seg=64 sub-benchmark keeps segments tiny so every
-// 64 ops retire and recycle one — the steady-state price of the
-// recycling pool.
-func BenchmarkUnboundedOps(b *testing.B) {
-	resolved := func(seg int) core.Resolved {
-		return core.ResolveOptions(core.WithLayout(core.LayoutPadded), core.WithSegmentSize(seg))
-	}
-	b.Run("bounded-spmc/single", func(b *testing.B) {
-		q, _ := core.NewSPMC[uint64](1<<16, core.WithLayout(core.LayoutPadded))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			q.Enqueue(uint64(i))
-			q.Dequeue()
-		}
-	})
-	b.Run("useg-spmc/single", func(b *testing.B) {
-		q, _ := segq.NewSPMC[uint64](resolved(1 << 16))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			q.Enqueue(uint64(i))
-			q.Dequeue()
-		}
-	})
-	b.Run("useg-mpmc/single", func(b *testing.B) {
-		q, _ := segq.NewMPMC[uint64](resolved(1 << 16))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			q.Enqueue(uint64(i))
-			q.Dequeue()
-		}
-	})
-	b.Run("useg-spmc/seg=64", func(b *testing.B) {
-		q, _ := segq.NewSPMC[uint64](resolved(64))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			q.Enqueue(uint64(i))
-			q.Dequeue()
-		}
-	})
-	for _, batch := range []int{1, 8, 64} {
-		batch := batch
-		b.Run(fmt.Sprintf("useg-spmc/batch=%d", batch), func(b *testing.B) {
-			q, _ := segq.NewSPMC[uint64](resolved(1 << 16))
-			src := make([]uint64, batch)
-			dst := make([]uint64, batch)
-			b.ResetTimer()
-			for i := 0; i < b.N; i += batch {
-				q.EnqueueBatch(src)
-				q.DequeueBatch(dst)
-			}
-		})
-		b.Run(fmt.Sprintf("useg-mpmc/batch=%d", batch), func(b *testing.B) {
-			q, _ := segq.NewMPMC[uint64](resolved(1 << 16))
-			src := make([]uint64, batch)
-			dst := make([]uint64, batch)
-			b.ResetTimer()
-			for i := 0; i < b.N; i += batch {
-				q.EnqueueBatch(src)
-				q.DequeueBatch(dst)
-			}
-		})
-	}
-}
-
 // BenchmarkCoreBatchOps prices the single-FAA batch claims on the
 // bounded core variants against their single-op paths, plus the
 // sharded queue's handle path. The bounded-spmc series is the
 // acceptance gate for the batch API: one head.Add(k) claims k
 // contiguous ranks, so per-element cost at batch=64 should be at
-// least 2x better than batch=1 (the same gate style as the segq batch
-// series in BenchmarkUnboundedOps).
+// least 2x better than batch=1.
 func BenchmarkCoreBatchOps(b *testing.B) {
 	for _, batch := range []int{1, 8, 64} {
 		batch := batch

@@ -20,7 +20,6 @@
 //	ffq-micro -fig 4 -server p8
 //	ffq-micro -fig all -runs 3 -scale 0.05 > experiments_run.txt
 //	ffq-micro -json BENCH_spmc.json -variant spmc -consumers 4
-//	ffq-micro -json BENCH_useg.json -variant unbounded -batch 64
 //	ffq-micro -json BENCH_sharded.json -variant sharded -producers 4 -consumers 1
 //	ffq-micro -json - -sharded-compare -producers 4 -consumers 4
 //	ffq-micro -json - -broker -transport pipe -consumers 4
@@ -31,12 +30,11 @@
 // With -json the tool instead runs the instrumented queue-size sweep
 // and writes benchmark records (throughput plus per-queue spin, yield,
 // gap and wait counters) as a JSON array to the given file ("-" for
-// stdout). The unbounded variants treat the size axis as segment size
-// and additionally report segment recycling counters; -batch moves
-// items in contiguous-run batches (the paper-relevant sizes are 1, 8
-// and 64). -producers adds the multi-producer axis; with -variant
-// sharded all producers share one sharded queue (a wait-free lane
-// each) and each record carries the lane count and per-lane depth.
+// stdout). -batch moves items in batches (the paper-relevant sizes
+// are 1, 8 and 64). -producers adds the multi-producer axis; with
+// -variant sharded all producers share one sharded queue (a wait-free
+// lane each) and each record carries the lane count and per-lane
+// depth.
 //
 // With -sharded-compare (requires -json) the run instead measures the
 // sharded-vs-FFQ^m fan-in comparison at -producers x -consumers and
@@ -94,9 +92,9 @@ func main() {
 	server := flag.String("server", "skylake", "simulated hierarchy for figures 4 and 5: skylake, haswell or p8 (the paper's three servers)")
 	csv := flag.Bool("csv", false, "emit CSV instead of an aligned table")
 	jsonOut := flag.String("json", "", "write the instrumented stats sweep as JSON to this file (\"-\" = stdout)")
-	variant := flag.String("variant", "spmc", "queue variant for -json: spsc, spmc, mpmc, sharded, unbounded, unbounded-mpmc, or shm (two-process mmap transport sweep)")
+	variant := flag.String("variant", "spmc", "queue variant for -json: spsc, spmc, mpmc, sharded, or shm (two-process mmap transport sweep)")
 	consumers := flag.Int("consumers", 1, "consumers per producer for -json")
-	batch := flag.Int("batch", 1, "items per batch for -json (sharded and unbounded variants use native batch ops)")
+	batch := flag.Int("batch", 1, "items per batch for -json (the sharded variant uses native batch ops)")
 	brokerSweep := flag.Bool("broker", false, "with -json: sweep ffqd broker loopback throughput across client batch sizes instead of a queue sweep")
 	transport := flag.String("transport", "pipe", "broker transport for -broker: pipe (in-process) or tcp (loopback sockets)")
 	producers := flag.Int("producers", 1, "producers: broker connections for -broker, queue producers for -json sweeps (sharded = lanes in one queue)")
@@ -231,12 +229,8 @@ func parseVariant(variant string) (workload.Variant, error) {
 		return workload.VariantMPMC, nil
 	case "sharded":
 		return workload.VariantSharded, nil
-	case "unbounded":
-		return workload.VariantUnbounded, nil
-	case "unbounded-mpmc":
-		return workload.VariantUnboundedMPMC, nil
 	default:
-		return 0, fmt.Errorf("unknown variant %q (have spsc, spmc, mpmc, sharded, unbounded, unbounded-mpmc)", variant)
+		return 0, fmt.Errorf("unknown variant %q (have spsc, spmc, mpmc, sharded)", variant)
 	}
 }
 

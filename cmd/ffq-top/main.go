@@ -12,10 +12,6 @@
 //	ffq-top -http :8077                      # also serve /metrics (Prometheus)
 //	                                         # and /debug/vars (expvar)
 //	ffq-top -yield-threshold 1               # exaggerate scheduler yields
-//	ffq-top -variant unbounded -cap 64 \
-//	        -producer-delay 200ns            # segmented queue: -cap is the
-//	                                         # segment size; watch the live
-//	                                         # segment/recycling counters
 //	ffq-top -variant sharded -producers 4 \
 //	        -consumers 2 -cap 256            # per-producer FFQ^s lanes:
 //	                                         # -cap is the per-lane depth;
@@ -27,10 +23,6 @@
 //	        -consumer-delay 2ms              # arm the stall watchdog; waits
 //	                                         # past the threshold appear as
 //	                                         # timestamped stall events
-//
-// The unbounded variants have no backpressure: if consumers fall
-// behind, the segment chain (and memory) grows without bound — use
-// -producer-delay to throttle when demonstrating them.
 //
 // The terminal view refreshes in place every -interval. With -plain
 // (or when stdout is not a terminal) it appends one summary line per
@@ -73,7 +65,6 @@ import (
 	"ffq/internal/core"
 	"ffq/internal/obs"
 	"ffq/internal/obs/expvarx"
-	"ffq/internal/segq"
 )
 
 // queue adapts the core variants behind one face.
@@ -136,26 +127,9 @@ func (s shardedQ) producer() (func(uint64), func()) {
 	return s.q.Enqueue, func() {}
 }
 
-type usegQ struct{ q *segq.SPMC[uint64] }
-
-func (s usegQ) enqueue(v uint64)        { s.q.Enqueue(v) }
-func (s usegQ) dequeue() (uint64, bool) { return s.q.Dequeue() }
-func (s usegQ) close()                  { s.q.Close() }
-func (s usegQ) len() int                { return s.q.Len() }
-func (s usegQ) stats() obs.Stats        { return s.q.Stats() }
-
-type usegMPMCQ struct{ q *segq.MPMC[uint64] }
-
-func (s usegMPMCQ) enqueue(v uint64)        { s.q.Enqueue(v) }
-func (s usegMPMCQ) dequeue() (uint64, bool) { return s.q.Dequeue() }
-func (s usegMPMCQ) close()                  { s.q.Close() }
-func (s usegMPMCQ) len() int                { return s.q.Len() }
-func (s usegMPMCQ) stats() obs.Stats        { return s.q.Stats() }
-
-// newQueue builds the selected variant. For the unbounded variants the
-// capacity becomes the segment size and the live view gains a segment
-// recycling line; for sharded it is the per-lane depth and the queue
-// gets one exclusive lane per producer (plus the shared fallback).
+// newQueue builds the selected variant. For sharded the capacity is
+// the per-lane depth and the queue gets one exclusive lane per
+// producer (plus the shared fallback).
 func newQueue(variant string, capacity, producers int, opts ...core.Option) (queue, error) {
 	switch variant {
 	case "spsc":
@@ -170,19 +144,13 @@ func newQueue(variant string, capacity, producers int, opts ...core.Option) (que
 	case "sharded":
 		q, err := core.NewSharded[uint64](producers+1, capacity, opts...)
 		return shardedQ{q}, err
-	case "unbounded":
-		q, err := segq.NewSPMC[uint64](core.ResolveOptions(append(opts, core.WithSegmentSize(capacity))...))
-		return usegQ{q}, err
-	case "unbounded-mpmc":
-		q, err := segq.NewMPMC[uint64](core.ResolveOptions(append(opts, core.WithSegmentSize(capacity))...))
-		return usegMPMCQ{q}, err
 	default:
-		return nil, fmt.Errorf("unknown variant %q (have spsc, spmc, mpmc, sharded, unbounded, unbounded-mpmc)", variant)
+		return nil, fmt.Errorf("unknown variant %q (have spsc, spmc, mpmc, sharded)", variant)
 	}
 }
 
 func main() {
-	variant := flag.String("variant", "spmc", "queue variant: spsc, spmc, mpmc, sharded, unbounded or unbounded-mpmc")
+	variant := flag.String("variant", "spmc", "queue variant: spsc, spmc, mpmc or sharded")
 	producers := flag.Int("producers", 1, "producer goroutines (>1 requires a multi-producer variant)")
 	consumers := flag.Int("consumers", 4, "consumer goroutines (spsc requires exactly 1)")
 	capacity := flag.Int("cap", 1<<10, "queue capacity (power of two)")
@@ -208,8 +176,8 @@ func main() {
 	if *producers < 1 || *consumers < 1 {
 		fatal(fmt.Errorf("need at least one producer and one consumer"))
 	}
-	if *producers > 1 && *variant != "mpmc" && *variant != "unbounded-mpmc" && *variant != "sharded" {
-		fatal(fmt.Errorf("%d producers require -variant mpmc, sharded or unbounded-mpmc", *producers))
+	if *producers > 1 && *variant != "mpmc" && *variant != "sharded" {
+		fatal(fmt.Errorf("%d producers require -variant mpmc or sharded", *producers))
 	}
 	if *variant == "spsc" && *consumers != 1 {
 		fatal(fmt.Errorf("spsc supports exactly 1 consumer, got %d", *consumers))
@@ -406,10 +374,6 @@ func render(w *os.File, plain bool, variant string, capacity, depth int, lanes [
 		float64(d.ProducerYields+d.ConsumerYields)/secs, cur.ProducerYields, cur.ConsumerYields)
 	fmt.Fprintf(&b, "  gaps       %10.0f/s created (total %d created, %d skipped)\n",
 		float64(d.GapsCreated)/secs, cur.GapsCreated, cur.GapsSkipped)
-	if cur.SegsAllocated > 0 {
-		fmt.Fprintf(&b, "  segments   %10d live (%d alloc, %d recycled, %d retired)\n",
-			cur.SegsLive, cur.SegsAllocated, cur.SegsRecycled, cur.SegsRetired)
-	}
 	if cur.WaitCount > 0 {
 		fmt.Fprintf(&b, "  waits      %10d   mean %s\n", cur.WaitCount, cur.MeanWait())
 		fmt.Fprintf(&b, "  wait hist  %s  (64ns .. 17s, log2 buckets)\n", sparkline(cur.WaitBuckets))

@@ -9,7 +9,8 @@
 //
 //   - the broker stages each connection's frames through a bounded
 //     SPSC queue (the paper's one-queue-per-producer shape) and feeds
-//     a per-topic unbounded MPMC queue;
+//     the topic's sharded queue, whose bounded FFQ^s lanes give each
+//     connection its own lane;
 //
 //   - the consumers claim competitively with TryDequeue under a
 //     credit window, so each message is delivered exactly once and a

@@ -22,16 +22,10 @@
 //     operation; still competitive with the fastest general-purpose
 //     queues, but if you can give each producer its own SPMC queue,
 //     do that instead — it is what the algorithm was designed for.
-//   - Unbounded / UnboundedMPMC: the same consumer semantics without
-//     the capacity limit — linked lists of FFQ ring segments with
-//     segment recycling and batch operations. Enqueue never waits for
-//     consumers; memory grows with the backlog instead. See
-//     unbounded.go and the README's "Unbounded queues" section.
 //
 // # Semantics shared by all variants
 //
-// The SPSC/SPMC/MPMC queues are bounded; capacities must be powers of
-// two. Enqueue never fails: when the queue is full it spins (the
+// Every queue is bounded; capacities must be powers of two. Enqueue never fails: when the queue is full it spins (the
 // paper's deployments size queues so that an empty slot always exists
 // — see the "implicit flow control" observation in Section I).
 // Dequeue blocks while the queue is empty, TryDequeue polls without

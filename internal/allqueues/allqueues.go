@@ -14,7 +14,6 @@ import (
 	"ffq/internal/lcrq"
 	"ffq/internal/msqueue"
 	"ffq/internal/queue"
-	"ffq/internal/segq"
 	"ffq/internal/vyukov"
 	"ffq/internal/wfqueue"
 )
@@ -64,24 +63,6 @@ func (a ffqLineAdapter) TryDequeue() (uint64, bool)            { return a.q.TryD
 func (a ffqLineAdapter) EnqueueBatch(vs []uint64)              { a.q.EnqueueBatch(vs) }
 func (a ffqLineAdapter) DequeueBatch(dst []uint64) (int, bool) { return a.q.DequeueBatch(dst) }
 func (a ffqLineAdapter) Close()                                { a.q.Close() }
-
-type segSPMCAdapter struct{ q *segq.SPMC[uint64] }
-
-func (a segSPMCAdapter) Enqueue(v uint64)                      { a.q.Enqueue(v) }
-func (a segSPMCAdapter) Dequeue() (uint64, bool)               { return a.q.Dequeue() }
-func (a segSPMCAdapter) TryDequeue() (uint64, bool)            { return a.q.TryDequeue() }
-func (a segSPMCAdapter) EnqueueBatch(vs []uint64)              { a.q.EnqueueBatch(vs) }
-func (a segSPMCAdapter) DequeueBatch(dst []uint64) (int, bool) { return a.q.DequeueBatch(dst) }
-func (a segSPMCAdapter) Close()                                { a.q.Close() }
-
-type segMPMCAdapter struct{ q *segq.MPMC[uint64] }
-
-func (a segMPMCAdapter) Enqueue(v uint64)                      { a.q.Enqueue(v) }
-func (a segMPMCAdapter) Dequeue() (uint64, bool)               { return a.q.Dequeue() }
-func (a segMPMCAdapter) TryDequeue() (uint64, bool)            { return a.q.TryDequeue() }
-func (a segMPMCAdapter) EnqueueBatch(vs []uint64)              { a.q.EnqueueBatch(vs) }
-func (a segMPMCAdapter) DequeueBatch(dst []uint64) (int, bool) { return a.q.DequeueBatch(dst) }
-func (a segMPMCAdapter) Close()                                { a.q.Close() }
 
 type wfAdapter struct{ q *wfqueue.Queue }
 
@@ -222,31 +203,6 @@ func Factories() []Named {
 					return queue.SelfRegistering{Q: ffqLineAdapter{q}}
 				},
 				Bounded: true,
-			},
-		},
-		{
-			MaxThreads: 1,
-			Factory: queue.Factory{
-				Name:  "ffq-useg",
-				Brief: "unbounded segmented FFQ^s (linked rings, recycling pool)",
-				New: func(capacity, _ int) queue.Shared {
-					// The capacity hint becomes the segment size, so the
-					// sweep's capacity axis doubles as a segment-size axis.
-					q, err := segq.NewSPMC[uint64](core.ResolveOptions(ffqLayout, core.WithSegmentSize(capacity)))
-					check(err)
-					return queue.SelfRegistering{Q: segSPMCAdapter{q}}
-				},
-			},
-		},
-		{
-			Factory: queue.Factory{
-				Name:  "ffq-useg-mpmc",
-				Brief: "unbounded segmented FFQ, multi-producer (FAA rank claim)",
-				New: func(capacity, _ int) queue.Shared {
-					q, err := segq.NewMPMC[uint64](core.ResolveOptions(ffqLayout, core.WithSegmentSize(capacity)))
-					check(err)
-					return queue.SelfRegistering{Q: segMPMCAdapter{q}}
-				},
 			},
 		},
 		{

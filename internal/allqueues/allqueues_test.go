@@ -12,18 +12,18 @@ import (
 // abandoned).
 func blocking(name string) bool {
 	switch name {
-	case "ffq-mpmc", "ffq-spmc", "ffq-useg", "ffq-useg-mpmc":
+	case "ffq-mpmc", "ffq-spmc":
 		return true
 	}
 	return false
 }
 
 // batcher names the registry entries whose adapters expose the batch
-// interface (contiguous-run claims on the FFQ cores and segmented
-// queues; per-lane runs on the sharded queue).
+// interface (contiguous-run claims on the FFQ cores; per-lane runs on
+// the sharded queue).
 func batcher(name string) bool {
 	switch name {
-	case "ffq-mpmc", "ffq-spmc", "ffq-sharded", "ffq-useg", "ffq-useg-mpmc", "ffq-line":
+	case "ffq-mpmc", "ffq-spmc", "ffq-sharded", "ffq-line":
 		return true
 	}
 	return false
@@ -33,7 +33,7 @@ func batcher(name string) bool {
 // non-blocking TryDequeue poll (the FFQ family).
 func tryDequeuer(name string) bool {
 	switch name {
-	case "ffq-mpmc", "ffq-spmc", "ffq-spsc", "ffq-sharded", "ffq-useg", "ffq-useg-mpmc", "ffq-line":
+	case "ffq-mpmc", "ffq-spmc", "ffq-spsc", "ffq-sharded", "ffq-line":
 		return true
 	}
 	return false
@@ -46,9 +46,9 @@ func singleConsumer(name string) bool {
 }
 
 // Every registry entry must pass the conformance suite through the
-// exact adapter the benchmarks use. Unbounded entries additionally
-// must absorb a burst far beyond the capacity hint with no consumer
-// running.
+// exact adapter the benchmarks use. Entries with Bounded false
+// additionally must absorb a burst far beyond the capacity hint with
+// no consumer running.
 func TestRegistryConformance(t *testing.T) {
 	for _, f := range allqueues.Factories() {
 		f := f
@@ -75,7 +75,7 @@ func TestRegistryConformance(t *testing.T) {
 			}
 			if !f.Bounded {
 				growth := opts
-				growth.Capacity = 16 // segmented queues: 16-cell segments, 64 segment links
+				growth.Capacity = 16
 				queuetest.UnboundedGrowth(t, f.Factory, growth)
 			}
 		})
@@ -103,7 +103,7 @@ func TestFactoryMetadata(t *testing.T) {
 		}
 		seen[f.Name] = true
 	}
-	for _, want := range []string{"ffq-mpmc", "ffq-spmc", "ffq-spsc", "ffq-line", "ffq-sharded", "ffq-useg", "ffq-useg-mpmc", "wfqueue", "lcrq", "ccqueue", "msqueue", "htm", "vyukov", "chan"} {
+	for _, want := range []string{"ffq-mpmc", "ffq-spmc", "ffq-spsc", "ffq-line", "ffq-sharded", "wfqueue", "lcrq", "ccqueue", "msqueue", "htm", "vyukov", "chan"} {
 		if !seen[want] {
 			t.Errorf("registry is missing %q", want)
 		}

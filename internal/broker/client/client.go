@@ -408,6 +408,11 @@ type pub struct {
 	// sent/acked track the pipeline window in messages; acked is the
 	// broker's cumulative ACK.
 	sent, acked uint64
+	// wbuf holds the PRODUCE frame being written and writing marks
+	// that write in flight. One write at a time per pub keeps frames
+	// in window order; the next flush waits for it on cond.
+	wbuf    wire.Buffer
+	writing bool
 	// timer is the FlushInterval timer, made by the first Publish that
 	// arms it and re-armed with Reset after it fires.
 	timer      *time.Timer
@@ -479,36 +484,40 @@ func (p *pub) timerFlush() {
 // flushLocked sends the pending batch as PRODUCE frames, waiting for
 // window space as needed. Callers hold p.mu.
 //
-// Each frame is encoded into wbuf while p.mu is still held, because
+// Each frame is encoded into p.wbuf while p.mu is still held, because
 // the pending messages alias the arena that concurrent Publishes
 // refill once it is released. The socket write happens with p.mu
-// RELEASED (wmu alone orders the frames): the read loop takes p.mu to
-// process ACKs, and on a synchronous transport (net.Pipe) a write can
-// only complete once the peer's reads progress — holding p.mu across
-// the write would deadlock the window against its own
+// RELEASED, and wmu is taken only after releasing it: the read loop
+// takes p.mu to process ACKs, and on a synchronous transport
+// (net.Pipe) a write can only complete once the peer's reads
+// progress, which may wait for the client to read an ACK. Holding
+// p.mu across the write, or while waiting for another pub's write to
+// release wmu, would deadlock the window against its own
 // acknowledgements.
 func (p *pub) flushLocked() error {
 	c := p.c
 	for len(p.pending) > 0 {
-		for c.Err() == nil && p.sent-p.acked >= uint64(c.opts.Window) {
-			p.cond.Wait()
-		}
 		if err := c.Err(); err != nil {
 			return err
 		}
+		if p.writing || p.sent-p.acked >= uint64(c.opts.Window) {
+			p.cond.Wait()
+			continue
+		}
 		room := c.opts.Window - int(p.sent-p.acked)
 		n := min(len(p.pending), c.opts.MaxBatch, room)
-		// Taking wmu before releasing p.mu keeps frame order equal to
-		// window order when Publish and the flush timer race.
-		c.wmu.Lock()
-		c.wbuf.Reset()
-		c.wbuf.PutProduce(0, p.topic, p.part, p.pending[:n])
+		p.wbuf.Reset()
+		p.wbuf.PutProduce(0, p.topic, p.part, p.pending[:n])
 		p.sent += uint64(n)
 		p.compact(n)
+		p.writing = true
 		p.mu.Unlock()
-		_, err := c.nc.Write(c.wbuf.Bytes())
+		c.wmu.Lock()
+		_, err := c.nc.Write(p.wbuf.Bytes())
 		c.wmu.Unlock()
 		p.mu.Lock()
+		p.writing = false
+		p.cond.Broadcast()
 		if err != nil {
 			return err
 		}

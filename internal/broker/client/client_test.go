@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"testing"
+	"time"
 
 	"ffq/internal/wire"
 )
@@ -111,4 +112,84 @@ func TestPublishArenaBounded(t *testing.T) {
 	if got := <-srv; got.err != nil || got.msgs != msgs {
 		t.Fatalf("broker side read %d of %d messages: %v", got.msgs, msgs, got.err)
 	}
+}
+
+// TestPublishTwoTopicsSyncPeer: two goroutines publish to two topics
+// of one client while the peer reads a PRODUCE frame and writes its
+// ACK before it reads on, so a write of one topic's frame can only
+// finish once the client's read loop has taken the other topic's
+// ACK. A flush that waited for the connection's write lock while
+// holding its topic's lock would close a cycle with the read loop,
+// which needs that topic's lock to apply the ACK.
+func TestPublishTwoTopicsSyncPeer(t *testing.T) {
+	const (
+		msgs = 50_000
+		size = 8
+	)
+	cnc, snc := net.Pipe()
+	defer snc.Close()
+	srvErr := make(chan error, 1)
+	got := map[string]uint64{}
+	go func() {
+		r := wire.NewReader(snc)
+		var buf wire.Buffer
+		for {
+			f, err := r.Next()
+			if err != nil {
+				srvErr <- err
+				return
+			}
+			p, err := wire.ParseProduce(f)
+			if err != nil {
+				srvErr <- err
+				return
+			}
+			topic := string(p.Topic)
+			for m, ok := p.Next(); ok; m, ok = p.Next() {
+				if len(m) != size || binary.BigEndian.Uint64(m) != got[topic] {
+					srvErr <- fmt.Errorf("%s: want message %d, got %x", topic, got[topic], m)
+					return
+				}
+				got[topic]++
+			}
+			buf.Reset()
+			buf.PutAck(0, p.Topic, p.Part, got[topic])
+			if _, err := snc.Write(buf.Bytes()); err != nil {
+				srvErr <- err
+				return
+			}
+		}
+	}()
+	c := New(cnc, Options{MaxBatch: 8, Window: 16})
+	pubErr := make(chan error, 2)
+	for _, topic := range []string{"a", "b"} {
+		go func() {
+			buf := make([]byte, size)
+			for seq := uint64(0); seq < msgs; seq++ {
+				binary.BigEndian.PutUint64(buf, seq)
+				if err := c.Publish(topic, buf); err != nil {
+					pubErr <- err
+					return
+				}
+			}
+			pubErr <- c.Drain()
+		}()
+	}
+	deadline := time.After(10 * time.Second)
+	for range 2 {
+		select {
+		case err := <-pubErr:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case err := <-srvErr:
+			t.Fatalf("peer: %v", err)
+		case <-deadline:
+			// Closing the pipe unblocks the stuck writers; Close would
+			// wait on them in its Flush.
+			cnc.Close()
+			t.Fatal("publishers still blocked after 10s: client deadlocked")
+		}
+	}
+	c.Close()
 }

@@ -19,15 +19,10 @@ var defaultYieldThreshold = func() int {
 	return 1
 }()
 
-// DefaultYieldThreshold returns the yield threshold queues use when
-// WithYieldThreshold was not given (64 on multiprocessors, 1 on a
-// uniprocessor). Exported for sibling queue packages (internal/segq)
-// that share the spin/yield policy.
-func DefaultYieldThreshold() int { return defaultYieldThreshold }
-
-// Backoff is the exported face of backoff for sibling queue packages
-// (internal/segq) so that every FFQ variant shares one spin/yield
-// policy. See backoff.
+// Backoff is the exported face of backoff, the one spin/yield policy
+// that the spin-backoff lint check (internal/analysis) names as a
+// designated backoff point for spin loops outside this package. See
+// backoff.
 func Backoff(spins, threshold int) bool { return backoff(spins, threshold) }
 
 // backoff delays a spinning thread and reports whether it yielded the

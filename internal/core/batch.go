@@ -6,16 +6,15 @@ import (
 	"ffq/internal/obs"
 )
 
-// Batch operations on the bounded queues. The consumer side mirrors
-// the segmented queues' contiguous-run semantics: one head.Add(k)
-// claims k consecutive ranks, amortizing the only consumer-side atomic
-// read-modify-write across the whole batch. Unlike segq, the bounded
-// rank space has gaps (a producer skips ranks whose cell is still
-// occupied), so a claimed run may resolve to fewer than k items: ranks
-// that were gap-skipped simply contribute nothing and the batch comes
-// back partial with ok=true. ok=false keeps segq's meaning — the queue
-// is closed and the run hit ranks beyond the final tail (closed and
-// drained); the n items before that point are still delivered.
+// Batch operations on the bounded queues. The consumer side claims a
+// contiguous run: one head.Add(k) claims k consecutive ranks,
+// amortizing the only consumer-side atomic read-modify-write across
+// the whole batch. The rank space has gaps (a producer skips ranks
+// whose cell is still occupied), so a claimed run may resolve to fewer
+// than k items: ranks that were gap-skipped simply contribute nothing
+// and the batch comes back partial with ok=true. ok=false means the
+// queue is closed and the run hit ranks beyond the final tail (closed
+// and drained); the n items before that point are still delivered.
 
 // EnqueueBatch inserts every element of vs in order, equivalent to a
 // loop of Enqueue but publishing the tail index once per batch instead
@@ -86,9 +85,9 @@ func (q *SPMC[T]) EnqueueBatch(vs []T) {
 // rank of the run is resolved in order — published ranks deliver their
 // item (blocking for the producer exactly like Dequeue), gap-skipped
 // ranks deliver nothing, so n < len(dst) with ok=true means the run
-// crossed gaps. ok=false keeps the segq contract: the queue is closed
-// and the run reached ranks beyond the final tail; the n items claimed
-// before that point are still returned. Safe for any number of
+// crossed gaps. ok=false means the queue is closed and the run
+// reached ranks beyond the final tail; the n items claimed before
+// that point are still returned. Safe for any number of
 // concurrent consumers, but a batch claims its ranks immediately: a
 // batch blocking on a slow producer delays later-ranked consumers.
 //

@@ -13,7 +13,6 @@ type config struct {
 	layout  Layout
 	rec     *obs.Recorder
 	yieldTh int
-	segSize int
 	opLat   bool
 	stallTh time.Duration
 }
@@ -39,49 +38,7 @@ func (c *config) recorder() *obs.Recorder {
 }
 
 func defaultConfig() config {
-	return config{layout: LayoutCompact, yieldTh: defaultYieldThreshold, segSize: DefaultSegmentSize}
-}
-
-// DefaultSegmentSize is the per-segment ring capacity the unbounded
-// (segmented) queues use when WithSegmentSize was not given. 1024
-// cells amortizes one segment hand-off across 1024 operations while
-// keeping a drained segment's memory (~16KiB for 8-byte payloads)
-// small enough to park in the recycling pool without bloat.
-const DefaultSegmentSize = 1 << 10
-
-// WithSegmentSize sets the per-segment ring capacity of the unbounded
-// (segmented) queues; n must be a power of two >= 2. Bounded queues
-// ignore it — their capacity is the NewXXX argument. Larger segments
-// amortize segment hand-off further and reduce pool churn; smaller
-// segments bound the memory a bursty producer strands ahead of slow
-// consumers. n <= 0 restores the default.
-func WithSegmentSize(n int) Option {
-	return func(c *config) {
-		if n <= 0 {
-			n = DefaultSegmentSize
-		}
-		c.segSize = n
-	}
-}
-
-// Resolved is the outcome of applying a list of Options, exported so
-// sibling queue packages (internal/segq) can honor the same options
-// the bounded core variants take without duplicating the option type.
-type Resolved struct {
-	Layout         Layout
-	Recorder       *obs.Recorder
-	YieldThreshold int
-	SegmentSize    int
-}
-
-// ResolveOptions applies opts over the defaults and returns the
-// resolved configuration.
-func ResolveOptions(opts ...Option) Resolved {
-	cfg := defaultConfig()
-	for _, o := range opts {
-		o(&cfg)
-	}
-	return Resolved{Layout: cfg.layout, Recorder: cfg.recorder(), YieldThreshold: cfg.yieldTh, SegmentSize: cfg.segSize}
+	return config{layout: LayoutCompact, yieldTh: defaultYieldThreshold}
 }
 
 // WithLayout selects the memory layout of the cell array. The default

@@ -488,9 +488,9 @@ func PairsLatency(o Options, threads int) (*report.Table, error) {
 // submission queues. This is the exporter behind `ffq-micro -json`:
 // stored BENCH_*.json files carry the queue-internals trajectory of a
 // run, not just its headline Mops/s. batch > 1 moves items in batches
-// of that size (native contiguous-run reservations on the unbounded
-// variants); the per-run batch-size histogram then lands in the
-// record's queue stats. producers > 1 is the multi-producer axis: each
+// of that size (native batch operations on VariantSharded, whose
+// per-run batch-size histogram then lands in the record's queue
+// stats). producers > 1 is the multi-producer axis: each
 // producer gets its own submission queue — except VariantSharded,
 // where all of them share one sharded queue (a lane each) and the
 // record additionally carries the lane count and per-lane depth.

@@ -241,15 +241,15 @@ func TestStatsSweepLatency(t *testing.T) {
 	}
 }
 
-// TestStatsSweepUnboundedBatch: the unbounded variant sweeps with a
-// batch size and the records carry segment counters and the batch
-// histogram.
-func TestStatsSweepUnboundedBatch(t *testing.T) {
+// TestStatsSweepBatch: the sharded variant sweeps with a batch size
+// and the records carry the batch histogram of its native batch
+// operations.
+func TestStatsSweepBatch(t *testing.T) {
 	o := QuickOptions()
 	o.Runs = 1
 	o.MinSizeExp = 6
 	o.MaxSizeExp = 6
-	recs, err := StatsSweep(o, workload.VariantUnbounded, 1, 2, 8, false)
+	recs, err := StatsSweep(o, workload.VariantSharded, 1, 2, 8, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,8 +264,8 @@ func TestStatsSweepUnboundedBatch(t *testing.T) {
 		t.Fatalf("record name %q lacks batch suffix", r.Name)
 	}
 	qs := r.Queues[0]
-	if qs.SegsAllocated == 0 || qs.BatchCount == 0 || qs.BatchSumItems == 0 {
-		t.Fatalf("segment/batch counters missing: %+v", qs.Stats)
+	if qs.BatchCount == 0 || qs.BatchSumItems == 0 {
+		t.Fatalf("batch counters missing: %+v", qs.Stats)
 	}
 }
 

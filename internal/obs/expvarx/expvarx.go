@@ -127,9 +127,6 @@ var counterMetrics = []counterMetric{
 	{"ffq_consumer_yields_total", "Consumer backoffs that yielded to the scheduler.", func(s obs.Stats) int64 { return s.ConsumerYields }},
 	{"ffq_gaps_created_total", "Ranks skipped by producers (gap announcements).", func(s obs.Stats) int64 { return s.GapsCreated }},
 	{"ffq_gaps_skipped_total", "Skipped ranks discarded by consumers.", func(s obs.Stats) int64 { return s.GapsSkipped }},
-	{"ffq_segments_allocated_total", "Segments allocated by unbounded queues.", func(s obs.Stats) int64 { return s.SegsAllocated }},
-	{"ffq_segments_recycled_total", "Segments reused from the recycling pool.", func(s obs.Stats) int64 { return s.SegsRecycled }},
-	{"ffq_segments_retired_total", "Drained segments unlinked from unbounded queues.", func(s obs.Stats) int64 { return s.SegsRetired }},
 }
 
 // escapeLabel escapes a label value per the exposition format.
@@ -180,11 +177,6 @@ func writeTo(b *strings.Builder) {
 		for lane, depth := range snaps[n].Lanes {
 			fmt.Fprintf(b, "ffq_lane_depth{queue=%q,lane=\"%d\"} %d\n", escapeLabel(n), lane, depth)
 		}
-	}
-
-	fmt.Fprintf(b, "# HELP ffq_segments_live Segments currently linked in unbounded queues.\n# TYPE ffq_segments_live gauge\n")
-	for _, n := range names {
-		fmt.Fprintf(b, "ffq_segments_live{queue=%q} %d\n", escapeLabel(n), snaps[n].Stats.SegsLive)
 	}
 
 	fmt.Fprintf(b, "# HELP ffq_batch_items Items per batch operation.\n# TYPE ffq_batch_items histogram\n")

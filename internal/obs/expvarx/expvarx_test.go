@@ -104,43 +104,28 @@ func TestPrometheusExposition(t *testing.T) {
 	}
 }
 
-// TestSegmentAndBatchExposition: the unbounded-queue metrics — segment
-// counters, the live-segment gauge and the batch-size histogram — must
-// render in valid exposition format with cumulative buckets.
-func TestSegmentAndBatchExposition(t *testing.T) {
+// TestBatchExposition: the batch-size histogram must render in valid
+// exposition format with cumulative buckets.
+func TestBatchExposition(t *testing.T) {
 	r := obs.NewRecorder()
 	r.ObserveBatch(1)
 	r.ObserveBatch(8)
 	r.ObserveBatch(8)
 	r.ObserveBatch(1 << 20) // clamped: must appear only under +Inf
-	stats := func() obs.Stats {
-		s := r.Snapshot()
-		s.SegsAllocated = 5
-		s.SegsRecycled = 140
-		s.SegsRetired = 143
-		s.SegsLive = 2
-		return s
-	}
-	if err := Register("segq", QueueInfo{Stats: stats, Len: func() int { return 0 }}); err != nil {
+	if err := Register("batchq", QueueInfo{Stats: r.Snapshot, Len: func() int { return 0 }}); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { Unregister("segq") })
+	t.Cleanup(func() { Unregister("batchq") })
 
 	body := Exposition()
 	for _, want := range []string{
-		"# TYPE ffq_segments_allocated_total counter",
-		`ffq_segments_allocated_total{queue="segq"} 5`,
-		`ffq_segments_recycled_total{queue="segq"} 140`,
-		`ffq_segments_retired_total{queue="segq"} 143`,
-		"# TYPE ffq_segments_live gauge",
-		`ffq_segments_live{queue="segq"} 2`,
 		"# TYPE ffq_batch_items histogram",
-		`ffq_batch_items_bucket{queue="segq",le="1"} 1`,
-		`ffq_batch_items_bucket{queue="segq",le="8"} 3`,
-		`ffq_batch_items_bucket{queue="segq",le="16384"} 3`, // clamp stays out of finite buckets
-		`ffq_batch_items_bucket{queue="segq",le="+Inf"} 4`,
-		`ffq_batch_items_sum{queue="segq"} 1048593`,
-		`ffq_batch_items_count{queue="segq"} 4`,
+		`ffq_batch_items_bucket{queue="batchq",le="1"} 1`,
+		`ffq_batch_items_bucket{queue="batchq",le="8"} 3`,
+		`ffq_batch_items_bucket{queue="batchq",le="16384"} 3`, // clamp stays out of finite buckets
+		`ffq_batch_items_bucket{queue="batchq",le="+Inf"} 4`,
+		`ffq_batch_items_sum{queue="batchq"} 1048593`,
+		`ffq_batch_items_count{queue="batchq"} 4`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("exposition missing %q\nbody:\n%s", want, body)
@@ -150,7 +135,7 @@ func TestSegmentAndBatchExposition(t *testing.T) {
 	// Batch buckets must be cumulative.
 	var prev int64 = -1
 	for _, line := range strings.Split(body, "\n") {
-		if !strings.HasPrefix(line, `ffq_batch_items_bucket{queue="segq"`) {
+		if !strings.HasPrefix(line, `ffq_batch_items_bucket{queue="batchq"`) {
 			continue
 		}
 		fields := strings.Fields(line)

@@ -88,10 +88,10 @@ type waitLine struct {
 // BatchHistBuckets is the number of log2 batch-size buckets. Bucket i
 // counts batches of ceil(log2(n)) == i items, so bucket 0 is single
 // operations and bucket 15 covers batches up to 32768 items — far
-// beyond any sensible batch (a batch is bounded by the segment size).
+// beyond any sensible batch; larger ones are clamped into it.
 const BatchHistBuckets = 16
 
-// batchLine holds the batch-size histogram of the segmented queues'
+// batchLine holds the batch-size histogram of the queues'
 // EnqueueBatch/DequeueBatch operations, plus the running count and
 // item sum.
 type batchLine struct {
@@ -175,7 +175,7 @@ func (r *Recorder) StallWatchdog() *Stall {
 func (r *Recorder) Enqueue() { r.prod.enqueues.Add(1) }
 
 // EnqueueN records n completed enqueues in one addition (the batch
-// paths of the segmented queues).
+// paths).
 //
 //ffq:hotpath
 func (r *Recorder) EnqueueN(n int) { r.prod.enqueues.Add(int64(n)) }
@@ -186,7 +186,7 @@ func (r *Recorder) EnqueueN(n int) { r.prod.enqueues.Add(int64(n)) }
 func (r *Recorder) Dequeue() { r.cons.dequeues.Add(1) }
 
 // DequeueN records n completed dequeues in one addition (the batch
-// paths of the segmented and bounded queues).
+// paths).
 //
 //ffq:hotpath
 func (r *Recorder) DequeueN(n int) { r.cons.dequeues.Add(int64(n)) }
@@ -310,8 +310,7 @@ func (r *Recorder) DequeueDone(start time.Time) {
 }
 
 // ObserveBatch records one batch operation of n items (an
-// EnqueueBatch or DequeueBatch call on a segmented queue). n <= 0 is
-// ignored.
+// EnqueueBatch or DequeueBatch call). n <= 0 is ignored.
 //
 //ffq:hotpath
 func (r *Recorder) ObserveBatch(n int) {
@@ -363,18 +362,6 @@ type Stats struct {
 	// WaitBuckets[i] counts waits of at most 2^i nanoseconds (see
 	// BucketBound). Omitted from JSON when all-zero.
 	WaitBuckets []int64 `json:"wait_buckets,omitempty"`
-
-	// Segment counters (segmented/unbounded queues only; always zero
-	// for the bounded variants). SegsAllocated counts fresh segment
-	// allocations, SegsRecycled reuses from the recycling pool,
-	// SegsRetired drained segments returned to the pool (or dropped to
-	// the GC when the pool was full). SegsLive is the instantaneous
-	// number of linked segments — a gauge, not a monotonic counter, so
-	// Sub/Add treat it like one (Sub keeps the newer value).
-	SegsAllocated int64 `json:"segs_allocated,omitempty"`
-	SegsRecycled  int64 `json:"segs_recycled,omitempty"`
-	SegsRetired   int64 `json:"segs_retired,omitempty"`
-	SegsLive      int64 `json:"segs_live,omitempty"`
 
 	// BatchCount and BatchSumItems summarize the batch-size histogram
 	// of EnqueueBatch/DequeueBatch calls; BatchBuckets[i] counts
@@ -472,10 +459,6 @@ func (s Stats) Sub(prev Stats) Stats {
 		GapsSkipped:    s.GapsSkipped - prev.GapsSkipped,
 		WaitCount:      s.WaitCount - prev.WaitCount,
 		WaitSumNS:      s.WaitSumNS - prev.WaitSumNS,
-		SegsAllocated:  s.SegsAllocated - prev.SegsAllocated,
-		SegsRecycled:   s.SegsRecycled - prev.SegsRecycled,
-		SegsRetired:    s.SegsRetired - prev.SegsRetired,
-		SegsLive:       s.SegsLive, // gauge: the newer value stands
 		BatchCount:     s.BatchCount - prev.BatchCount,
 		BatchSumItems:  s.BatchSumItems - prev.BatchSumItems,
 
@@ -550,10 +533,6 @@ func (s Stats) Add(o Stats) Stats {
 		GapsSkipped:    s.GapsSkipped + o.GapsSkipped,
 		WaitCount:      s.WaitCount + o.WaitCount,
 		WaitSumNS:      s.WaitSumNS + o.WaitSumNS,
-		SegsAllocated:  s.SegsAllocated + o.SegsAllocated,
-		SegsRecycled:   s.SegsRecycled + o.SegsRecycled,
-		SegsRetired:    s.SegsRetired + o.SegsRetired,
-		SegsLive:       s.SegsLive + o.SegsLive,
 		BatchCount:     s.BatchCount + o.BatchCount,
 		BatchSumItems:  s.BatchSumItems + o.BatchSumItems,
 
@@ -616,10 +595,6 @@ func (s Stats) String() string {
 		s.ProducerYields, s.ConsumerYields, s.GapsCreated, s.GapsSkipped)
 	if s.WaitCount > 0 {
 		fmt.Fprintf(&b, " waits=%d mean=%s", s.WaitCount, s.MeanWait())
-	}
-	if s.SegsAllocated > 0 || s.SegsLive > 0 {
-		fmt.Fprintf(&b, " segs=%d live (%d alloc, %d recycled, %d retired)",
-			s.SegsLive, s.SegsAllocated, s.SegsRecycled, s.SegsRetired)
 	}
 	if s.BatchCount > 0 {
 		fmt.Fprintf(&b, " batches=%d mean=%.1f", s.BatchCount, s.MeanBatch())

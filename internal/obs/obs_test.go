@@ -151,18 +151,15 @@ func TestObserveBatch(t *testing.T) {
 	}
 }
 
-func TestSegAndBatchSubAdd(t *testing.T) {
-	a := Stats{SegsAllocated: 2, SegsRecycled: 1, SegsRetired: 1, SegsLive: 2, BatchCount: 1, BatchSumItems: 8}
-	b := Stats{SegsAllocated: 5, SegsRecycled: 4, SegsRetired: 6, SegsLive: 3, BatchCount: 3, BatchSumItems: 40}
+func TestBatchSubAdd(t *testing.T) {
+	a := Stats{BatchCount: 1, BatchSumItems: 8}
+	b := Stats{BatchCount: 3, BatchSumItems: 40}
 	d := b.Sub(a)
-	if d.SegsAllocated != 3 || d.SegsRecycled != 3 || d.SegsRetired != 5 || d.BatchCount != 2 || d.BatchSumItems != 32 {
+	if d.BatchCount != 2 || d.BatchSumItems != 32 {
 		t.Fatalf("Sub wrong: %+v", d)
 	}
-	if d.SegsLive != 3 {
-		t.Fatalf("SegsLive is a gauge; Sub should keep the newer value, got %d", d.SegsLive)
-	}
 	sum := a.Add(b)
-	if sum.SegsAllocated != 7 || sum.BatchSumItems != 48 {
+	if sum.BatchCount != 4 || sum.BatchSumItems != 48 {
 		t.Fatalf("Add wrong: %+v", sum)
 	}
 }

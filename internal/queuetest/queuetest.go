@@ -134,11 +134,7 @@ func Concurrent(t *testing.T, f queue.Factory, opts Options) {
 // UnboundedGrowth checks behaviour only an unbounded queue can have:
 // it absorbs a burst of many times the capacity hint with no consumer
 // running at all (a bounded queue would block or refuse), and then
-// delivers every item in FIFO order. With the capacity hint set to a
-// segmented queue's segment size, the burst forces dozens of segment
-// links and the drain forces the matching retirements, so running
-// this under -race also exercises the reclamation path
-// single-threaded end to end.
+// delivers every item in FIFO order.
 func UnboundedGrowth(t *testing.T, f queue.Factory, opts Options) {
 	t.Helper()
 	if f.Bounded {

@@ -13,7 +13,6 @@ import (
 	"ffq/internal/affinity"
 	"ffq/internal/core"
 	"ffq/internal/obs"
-	"ffq/internal/segq"
 )
 
 // Variant selects which FFQ implementation serves as the submission
@@ -28,11 +27,6 @@ const (
 	// VariantSPSC uses the SPSC queue; requires exactly one consumer
 	// per producer.
 	VariantSPSC
-	// VariantUnbounded uses the unbounded segmented SPMC queue
-	// (internal/segq); QueueSize becomes the segment size.
-	VariantUnbounded
-	// VariantUnboundedMPMC uses the unbounded segmented MPMC queue.
-	VariantUnboundedMPMC
 	// VariantSharded uses one shared core.Sharded queue for ALL
 	// producers (per-producer FFQ^s lanes, one exclusive lane handle
 	// each) with a single consumer pool of
@@ -52,10 +46,6 @@ func (v Variant) String() string {
 		return "mpmc"
 	case VariantSPSC:
 		return "spsc"
-	case VariantUnbounded:
-		return "unbounded"
-	case VariantUnboundedMPMC:
-		return "unbounded-mpmc"
 	case VariantSharded:
 		return "sharded"
 	default:
@@ -80,13 +70,12 @@ type MicroConfig struct {
 	// ItemsPerProducer is the number of round-trips each producer
 	// completes.
 	ItemsPerProducer int
-	// QueueSize is the submission queue capacity (power of two). For
-	// the unbounded variants it is the segment size instead.
+	// QueueSize is the submission queue capacity (power of two).
 	QueueSize int
 	// Batch > 1 moves items through the submission queue in batches of
-	// that size. The unbounded variants use their native
-	// EnqueueBatch/DequeueBatch; the bounded ones loop singles on the
-	// enqueue side and stay single-item on the dequeue side (a bounded
+	// that size. VariantSharded uses its native
+	// EnqueueBatch/DequeueBatch; the other variants loop singles on the
+	// enqueue side and stay single-item on the dequeue side (a
 	// consumer holding a partial batch would deadlock the round-trip).
 	// ItemsPerProducer is rounded up to a multiple of the batch so
 	// every blocking batch claim can be filled. 0 or 1 means
@@ -179,47 +168,11 @@ func (r MicroResult) MopsPerSec() float64 {
 	return float64(r.Items) / r.Elapsed.Seconds() / 1e6
 }
 
-// submission abstracts the FFQ variants behind one face. The batch
-// methods let the unbounded variants use their native contiguous-run
-// reservations; bounded variants fall back to a loop of singles
-// (loopBatch).
+// submission abstracts the bounded FFQ variants behind one face.
 type submission interface {
 	enqueue(v uint64)
 	dequeue() (uint64, bool)
-	enqueueBatch(vs []uint64)
-	dequeueBatch(dst []uint64) (int, bool)
 	close()
-}
-
-// singleOps is the per-item subset the bounded queues provide.
-type singleOps interface {
-	enqueue(v uint64)
-	dequeue() (uint64, bool)
-	close()
-}
-
-// loopBatch lifts a single-op queue to the submission interface with
-// software-loop batch methods.
-type loopBatch struct{ singleOps }
-
-func (l loopBatch) enqueueBatch(vs []uint64) {
-	for _, v := range vs {
-		l.enqueue(v)
-	}
-}
-
-func (l loopBatch) dequeueBatch(dst []uint64) (int, bool) {
-	// One blocking single per call. The bounded queues have no
-	// contiguous-run claim, so filling a multi-item buffer here could
-	// strand already-dequeued items in this consumer's buffer while the
-	// producer waits for their responses before sending more (deadlock
-	// whenever >1 consumer splits the final items unevenly).
-	v, ok := l.dequeue()
-	if !ok {
-		return 0, false
-	}
-	dst[0] = v
-	return 1, true
 }
 
 type spmcSub struct{ q *core.SPMC[uint64] }
@@ -240,52 +193,21 @@ func (s spscSub) enqueue(v uint64)        { s.q.Enqueue(v) }
 func (s spscSub) dequeue() (uint64, bool) { return s.q.Dequeue() }
 func (s spscSub) close()                  { s.q.Close() }
 
-// segStatser is implemented by the unbounded submissions; RunMicro
-// folds these always-on segment counters into the instrumented
-// aggregate (they live on the queue, not the shared recorder).
-type segStatser interface {
-	segStats() obs.Stats
-}
-
-type usegSub struct{ q *segq.SPMC[uint64] }
-
-func (s usegSub) enqueue(v uint64)                      { s.q.Enqueue(v) }
-func (s usegSub) dequeue() (uint64, bool)               { return s.q.Dequeue() }
-func (s usegSub) enqueueBatch(vs []uint64)              { s.q.EnqueueBatch(vs) }
-func (s usegSub) dequeueBatch(dst []uint64) (int, bool) { return s.q.DequeueBatch(dst) }
-func (s usegSub) close()                                { s.q.Close() }
-func (s usegSub) segStats() obs.Stats                   { return s.q.SegStats() }
-
-type usegMPMCSub struct{ q *segq.MPMC[uint64] }
-
-func (s usegMPMCSub) enqueue(v uint64)                      { s.q.Enqueue(v) }
-func (s usegMPMCSub) dequeue() (uint64, bool)               { return s.q.Dequeue() }
-func (s usegMPMCSub) enqueueBatch(vs []uint64)              { s.q.EnqueueBatch(vs) }
-func (s usegMPMCSub) dequeueBatch(dst []uint64) (int, bool) { return s.q.DequeueBatch(dst) }
-func (s usegMPMCSub) close()                                { s.q.Close() }
-func (s usegMPMCSub) segStats() obs.Stats                   { return s.q.SegStats() }
-
 func newSubmission(cfg MicroConfig, rec *obs.Recorder) (submission, error) {
 	opts := []core.Option{core.WithLayout(cfg.Layout), core.WithRecorder(rec)}
 	switch cfg.Variant {
 	case VariantSPMC:
 		q, err := core.NewSPMC[uint64](cfg.QueueSize, opts...)
-		return loopBatch{spmcSub{q}}, err
+		return spmcSub{q}, err
 	case VariantMPMC:
 		q, err := core.NewMPMC[uint64](cfg.QueueSize, opts...)
-		return loopBatch{mpmcSub{q}}, err
+		return mpmcSub{q}, err
 	case VariantSPSC:
 		if cfg.ConsumersPerProducer != 1 {
 			return nil, fmt.Errorf("workload: SPSC variant requires exactly 1 consumer, got %d", cfg.ConsumersPerProducer)
 		}
 		q, err := core.NewSPSC[uint64](cfg.QueueSize, opts...)
-		return loopBatch{spscSub{q}}, err
-	case VariantUnbounded:
-		q, err := segq.NewSPMC[uint64](core.ResolveOptions(append(opts, core.WithSegmentSize(cfg.QueueSize))...))
-		return usegSub{q}, err
-	case VariantUnboundedMPMC:
-		q, err := segq.NewMPMC[uint64](core.ResolveOptions(append(opts, core.WithSegmentSize(cfg.QueueSize))...))
-		return usegMPMCSub{q}, err
+		return spscSub{q}, err
 	default:
 		return nil, fmt.Errorf("workload: unknown variant %v", cfg.Variant)
 	}
@@ -372,10 +294,10 @@ func RunMicro(cfg MicroConfig) (MicroResult, error) {
 		maxOutstanding = 1
 	}
 
-	// Batch mode. A blocking batch claim is only ever filled if the
-	// producer's outstanding allowance covers at least one whole batch
-	// and the item count divides into whole batches, so clamp and
-	// round accordingly.
+	// Batch mode. The producer sends whole batches only, so its
+	// outstanding allowance must cover at least one batch and the item
+	// count must divide into whole batches: clamp and round
+	// accordingly.
 	batch := cfg.Batch
 	if batch < 1 {
 		batch = 1
@@ -413,32 +335,14 @@ func RunMicro(cfg MicroConfig) (MicroResult, error) {
 					if c == 0 {
 						stallN = cfg.StallEvery
 					}
+					// Consumers dequeue one item at a time even in batch
+					// mode: the bounded queues have no contiguous-run
+					// claim, so filling a multi-item buffer could strand
+					// already-dequeued items here while the producer waits
+					// for their responses before sending more (deadlock
+					// whenever >1 consumer splits the final items
+					// unevenly).
 					processed := 0
-					if batch > 1 {
-						buf := make([]uint64, batch)
-						for {
-							n, ok := st.sub.dequeueBatch(buf)
-							if sojourn != nil && n > 0 {
-								now := time.Now().UnixNano()
-								for i := 0; i < n; i++ {
-									sojourn.Record(now - int64(buf[i]))
-								}
-							}
-							for i := 0; i < n; i++ {
-								rq.Enqueue(buf[i])
-							}
-							if !ok {
-								rq.Close()
-								return
-							}
-							if stallN > 0 {
-								if processed += n; processed >= stallN {
-									processed = 0
-									stalls.stall(cfg.StallDuration)
-								}
-							}
-						}
-					}
 					for {
 						v, ok := st.sub.dequeue()
 						if !ok {
@@ -490,7 +394,9 @@ func RunMicro(cfg MicroConfig) (MicroResult, error) {
 									batchBuf[i] = uint64(sent + i + 1)
 								}
 							}
-							st.sub.enqueueBatch(batchBuf)
+							for _, v := range batchBuf {
+								st.sub.enqueue(v)
+							}
 							sent += batch
 							outstanding += batch
 						}
@@ -533,11 +439,6 @@ func RunMicro(cfg MicroConfig) (MicroResult, error) {
 	}
 	if rec != nil {
 		s := rec.Snapshot()
-		for _, st := range states {
-			if ss, ok := st.sub.(segStatser); ok {
-				s = s.Add(ss.segStats())
-			}
-		}
 		res.Stats = &s
 	}
 	if sojourn != nil {

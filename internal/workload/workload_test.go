@@ -60,8 +60,8 @@ func TestVariantString(t *testing.T) {
 	if VariantSPMC.String() != "spmc" || VariantMPMC.String() != "mpmc" || VariantSPSC.String() != "spsc" {
 		t.Error("variant names")
 	}
-	if VariantUnbounded.String() != "unbounded" || VariantUnboundedMPMC.String() != "unbounded-mpmc" {
-		t.Error("unbounded variant names")
+	if VariantSharded.String() != "sharded" {
+		t.Error("sharded variant name")
 	}
 }
 
@@ -78,7 +78,7 @@ func TestRunMicroValidation(t *testing.T) {
 }
 
 func TestRunMicroAllVariants(t *testing.T) {
-	for _, v := range []Variant{VariantSPMC, VariantMPMC, VariantSPSC, VariantUnbounded, VariantUnboundedMPMC} {
+	for _, v := range []Variant{VariantSPMC, VariantMPMC, VariantSPSC} {
 		consumers := 2
 		if v == VariantSPSC {
 			consumers = 1
@@ -101,19 +101,20 @@ func TestRunMicroAllVariants(t *testing.T) {
 	}
 }
 
-// TestRunMicroBatch runs the unbounded variants with batched
-// submission at several batch sizes, including one that does not
-// divide the item count (rounded up internally) and one larger than
-// the outstanding allowance (clamped internally).
+// TestRunMicroBatch runs batched submission at several batch sizes,
+// including one that does not divide the item count (rounded up
+// internally) and one larger than the outstanding allowance (clamped
+// internally). The sharded variant uses its native batch operations;
+// the others loop singles.
 func TestRunMicroBatch(t *testing.T) {
-	for _, v := range []Variant{VariantUnbounded, VariantUnboundedMPMC} {
+	for _, v := range []Variant{VariantSPMC, VariantMPMC, VariantSharded} {
 		for _, batch := range []int{1, 8, 64, 7, 1 << 20} {
 			res, err := RunMicro(MicroConfig{
 				Variant:              v,
 				Producers:            1,
 				ConsumersPerProducer: 2,
 				ItemsPerProducer:     3000,
-				QueueSize:            64, // segment size for these variants
+				QueueSize:            64,
 				Batch:                batch,
 				Policy:               affinity.NoAffinity,
 			})
@@ -124,22 +125,6 @@ func TestRunMicroBatch(t *testing.T) {
 				t.Fatalf("%v batch=%d: %+v", v, batch, res)
 			}
 		}
-	}
-	// Bounded variants run batches through the software-loop fallback.
-	res, err := RunMicro(MicroConfig{
-		Variant:              VariantSPMC,
-		Producers:            1,
-		ConsumersPerProducer: 2,
-		ItemsPerProducer:     2000,
-		QueueSize:            256,
-		Batch:                16,
-		Policy:               affinity.NoAffinity,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Items < 2000 {
-		t.Fatalf("Items = %d", res.Items)
 	}
 }
 
