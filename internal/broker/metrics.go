@@ -62,15 +62,15 @@ func (b *Broker) collect(emit func(expvarx.Sample)) {
 	c("ffqd_messages_dropped_total", "Messages discarded after the shutdown produce cutoff.", b.m.MsgsDropped.Load())
 	if b.opts.ShmDir != "" {
 		emit(expvarx.Sample{
-			Name: "ffq_shm_segments", Help: "Shared-memory ingress segments currently served.",
+			Name: "ffqd_shm_segments", Help: "Shared-memory ingress segments currently served.",
 			Type: "gauge", Value: float64(b.m.ShmSegments.Load()),
 		})
-		c("ffq_shm_messages_total", "Messages pumped from shared-memory segments into topics.", b.m.ShmMsgs.Load())
-		c("ffq_shm_bytes_total", "Payload bytes pumped from shared-memory segments.", b.m.ShmBytes.Load())
-		c("ffq_shm_attach_errors_total", "Segment files refused by the fail-closed attach.", b.m.ShmAttachErrors.Load())
+		c("ffqd_shm_messages_total", "Messages pumped from shared-memory segments into topics.", b.m.ShmMsgs.Load())
+		c("ffqd_shm_bytes_total", "Payload bytes pumped from shared-memory segments.", b.m.ShmBytes.Load())
+		c("ffqd_shm_attach_errors_total", "Segment files refused by the fail-closed attach.", b.m.ShmAttachErrors.Load())
 		for topic, depth := range b.ShmTopicDepths() {
 			emit(expvarx.Sample{
-				Name: "ffq_shm_depth", Help: "Approximate unconsumed values per shared-memory segment topic.",
+				Name: "ffqd_shm_depth", Help: "Approximate unconsumed values per shared-memory segment topic.",
 				Type: "gauge", Labels: map[string]string{"topic": topic}, Value: float64(depth),
 			})
 		}

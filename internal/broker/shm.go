@@ -188,7 +188,7 @@ func (b *Broker) shmServe(path string, c *shm.Consumer) {
 
 // ShmTopicDepths reports the approximate unconsumed depth of every
 // served segment, keyed by topic (summed over a topic's segments).
-// Metrics collection uses it for the ffq_shm_depth gauge.
+// Metrics collection uses it for the ffqd_shm_depth gauge.
 func (b *Broker) ShmTopicDepths() map[string]int64 {
 	// Depth needs the Consumer, but pumps own their consumers
 	// exclusively; instead of sharing them, read the counters straight

@@ -6,11 +6,13 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"ffq/internal/broker"
 	"ffq/internal/broker/client"
+	"ffq/internal/obs/expvarx"
 )
 
 // startDrain starts receiving in the background — the subscriber must
@@ -308,6 +310,90 @@ func TestShmIngressQuarantine(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, "junk.ffq")); err != nil {
 		t.Errorf("quarantined file should be left in place: %v", err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := b.Shutdown(ctx); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+}
+
+// TestCollectorMetricPrefix scrapes a broker with every optional
+// collector family switched on (durable topics and shm ingress) and
+// checks the broker's own samples share one prefix: each one either
+// starts with ffqd_ or carries the queue label of a registered queue
+// family, which keeps ffq_.
+func TestCollectorMetricPrefix(t *testing.T) {
+	shmDir := t.TempDir()
+	b, addr := startBroker(t, broker.Options{
+		Instrument:      true,
+		MetricsPrefix:   "ffqd_prefix",
+		DataDir:         t.TempDir(),
+		ShmDir:          shmDir,
+		ShmScanInterval: 2 * time.Millisecond,
+	})
+
+	cc, err := client.Dial(addr, client.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cc.Close()
+	sub, err := cc.Subscribe("sensors", 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pub, err := client.DialShm(shmDir, "sensors", 16, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const total = 50
+	wait := startDrain(t, sub, total)
+	for i := 0; i < total; i++ {
+		if err := pub.Publish([]byte(fmt.Sprintf("m-%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wait()
+
+	// The segment stays open, so the scrape sees it served. The pump
+	// counts a batch just after handing it to the topic; poll briefly.
+	wants := []string{
+		"ffqd_shm_segments", "ffqd_shm_messages_total", "ffqd_shm_bytes_total",
+		"ffqd_shm_attach_errors_total", "ffqd_shm_depth", "ffqd_wal_bytes",
+		"ffqd_topic_depth",
+	}
+	var ss *expvarx.SampleSet
+	var samples []expvarx.Sample
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		samples, err = expvarx.Parse(strings.NewReader(expvarx.Exposition()))
+		if err != nil {
+			t.Fatalf("Parse: %v", err)
+		}
+		ss = expvarx.NewSampleSet(samples)
+		if v, _ := ss.Value("ffqd_shm_messages_total", nil); v == total || time.Now().After(deadline) {
+			break
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	present := map[string]bool{}
+	for _, s := range samples {
+		present[s.Name] = true
+		if _, queueFamily := s.Labels["queue"]; !queueFamily && !strings.HasPrefix(s.Name, "ffqd_") {
+			t.Errorf("collector sample %s %v lacks the ffqd_ prefix", s.Name, s.Labels)
+		}
+	}
+	for _, want := range wants {
+		if !present[want] {
+			t.Errorf("exposition has no %s sample", want)
+		}
+	}
+	if v, _ := ss.Value("ffqd_shm_messages_total", nil); v != total {
+		t.Errorf("ffqd_shm_messages_total = %v, want %d", v, total)
+	}
+
+	if err := pub.Close(); err != nil {
+		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()

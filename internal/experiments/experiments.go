@@ -10,7 +10,6 @@ package experiments
 import (
 	"fmt"
 	"runtime"
-	"time"
 
 	"ffq/internal/affinity"
 	"ffq/internal/allqueues"
@@ -18,7 +17,6 @@ import (
 	"ffq/internal/core"
 	"ffq/internal/enclave"
 	"ffq/internal/harness"
-	"ffq/internal/obs"
 	"ffq/internal/perfmodel"
 	"ffq/internal/report"
 	"ffq/internal/spscqueues"
@@ -480,280 +478,4 @@ func PairsLatency(o Options, threads int) (*report.Table, error) {
 			res.DequeueNS.Mean().Nanoseconds(), res.DequeueNS.P99NS)
 	}
 	return t, nil
-}
-
-// StatsSweep runs the instrumented microbenchmark across the queue-size
-// sweep and returns JSON records that pair each configuration's
-// throughput with the spin, yield, gap and wait counters of its
-// submission queues. This is the exporter behind `ffq-micro -json`:
-// stored BENCH_*.json files carry the queue-internals trajectory of a
-// run, not just its headline Mops/s. batch > 1 moves items in batches
-// of that size (native batch operations on VariantSharded, whose
-// per-run batch-size histogram then lands in the record's queue
-// stats). producers > 1 is the multi-producer axis: each
-// producer gets its own submission queue — except VariantSharded,
-// where all of them share one sharded queue (a lane each) and the
-// record additionally carries the lane count and per-lane depth.
-// latency switches the runs into latency mode: items are stamped at
-// submission, and every record gains sojourn_* percentile metrics (the
-// ingress-to-dequeue distribution) plus enq_/deq_ per-op percentiles
-// from the recorder histograms — the fields the CI latency smoke gate
-// and EXPERIMENTS.md's methodology section read.
-func StatsSweep(o Options, variant workload.Variant, producers, consumers, batch int, latency bool) ([]report.Record, error) {
-	o.fill()
-	if producers < 1 {
-		producers = 1
-	}
-	if consumers < 1 {
-		consumers = 1
-	}
-	if batch < 1 {
-		batch = 1
-	}
-	items := harness.ScaleInt(500_000, o.Scale, 2000) / producers
-	if items < 1000 {
-		items = 1000
-	}
-	var recs []report.Record
-	for _, size := range harness.PowersOfTwo(o.MinSizeExp, o.MaxSizeExp) {
-		var agg obs.Stats
-		var sojourn *obs.LatencySnapshot
-		lanes, laneCap := 0, 0
-		sum, err := harness.RepeatErr(o.Runs, func() (float64, error) {
-			res, err := workload.RunMicro(workload.MicroConfig{
-				Variant:              variant,
-				Layout:               core.LayoutPadded,
-				Producers:            producers,
-				ConsumersPerProducer: consumers,
-				ItemsPerProducer:     items,
-				QueueSize:            size,
-				Batch:                batch,
-				Policy:               affinity.NoAffinity,
-				Topology:             o.Topology,
-				Instrument:           true,
-				MeasureLatency:       latency,
-			})
-			if err != nil {
-				return 0, err
-			}
-			if res.Stats != nil {
-				agg = agg.Add(*res.Stats)
-			}
-			sojourn = sojourn.Add(res.Sojourn)
-			lanes, laneCap = res.Lanes, res.LaneCap
-			return res.MopsPerSec(), nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		name := fmt.Sprintf("micro/%s/entries=%d", variant, size)
-		if producers > 1 {
-			name += fmt.Sprintf("/p=%d", producers)
-		}
-		if batch > 1 {
-			name += fmt.Sprintf("/batch=%d", batch)
-		}
-		params := map[string]any{
-			"variant":            variant.String(),
-			"producers":          producers,
-			"consumers":          consumers,
-			"queue_size":         size,
-			"batch":              batch,
-			"runs":               o.Runs,
-			"items_per_producer": items,
-		}
-		if lanes > 0 {
-			params["lanes"] = lanes
-			params["lane_depth"] = laneCap
-		}
-		metrics := map[string]float64{
-			"mops_per_sec_mean":   sum.Mean,
-			"mops_per_sec_stddev": sum.Stddev,
-			"mops_per_sec_min":    sum.Min,
-			"mops_per_sec_max":    sum.Max,
-		}
-		if latency {
-			params["measure_latency"] = true
-			addLatencyMetrics(metrics, "sojourn_", sojourn)
-			addLatencyMetrics(metrics, "enq_", agg.EnqLatency)
-			addLatencyMetrics(metrics, "deq_", agg.DeqLatency)
-		}
-		recs = append(recs, report.Record{
-			Name:      name,
-			Timestamp: time.Now(),
-			Params:    params,
-			Metrics:   metrics,
-			Queues: []report.QueueStats{{
-				Name:     "submission",
-				Capacity: size,
-				Stats:    agg,
-			}},
-		})
-	}
-	return recs, nil
-}
-
-// addLatencyMetrics flattens a latency snapshot into prefixed metric
-// fields (count, mean and the percentile cut). A nil or empty snapshot
-// contributes nothing, so records stay free of zero-valued noise.
-func addLatencyMetrics(m map[string]float64, prefix string, s *obs.LatencySnapshot) {
-	if s == nil || s.Count == 0 {
-		return
-	}
-	m[prefix+"count"] = float64(s.Count)
-	m[prefix+"mean_ns"] = float64(s.SumNS) / float64(s.Count)
-	m[prefix+"p50_ns"] = float64(s.P50NS)
-	m[prefix+"p95_ns"] = float64(s.P95NS)
-	m[prefix+"p99_ns"] = float64(s.P99NS)
-	m[prefix+"p999_ns"] = float64(s.P999NS)
-	m[prefix+"max_ns"] = float64(s.MaxNS)
-}
-
-// ShardedVsMPMC measures the fan-in comparison the sharded queue
-// exists for: P producers pushing into ONE shared queue drained by C
-// consumers, once with a single FFQ^m (every producer contending on
-// one tail word and CASing cell states) and once with the sharded
-// per-producer-lane queue (wait-free FFQ^s enqueues, consumers
-// FAA-claiming per lane). Both runs move the same item volume through
-// the same thread counts under the padded layout; the sharded record
-// carries the speedup ratio. This is the exporter behind
-// `ffq-micro -sharded-compare -json` and the data behind the
-// BenchmarkShardedVsMPMC CI gate.
-func ShardedVsMPMC(o Options, producers, consumers int) ([]report.Record, error) {
-	o.fill()
-	if producers < 1 {
-		producers = 1
-	}
-	if consumers < 1 {
-		consumers = 1
-	}
-	items := harness.ScaleInt(500_000, o.Scale, 2000) / producers
-	if items < 1000 {
-		items = 1000
-	}
-	const size = 1 << 12 // MPMC capacity; per-lane capacity for sharded
-	variants := []workload.Variant{workload.VariantMPMC, workload.VariantSharded}
-	recs := make([]report.Record, 0, len(variants))
-	means := make(map[workload.Variant]float64, len(variants))
-	for _, v := range variants {
-		v := v
-		var agg obs.Stats
-		var gaps int64
-		sum, err := harness.RepeatErr(o.Runs, func() (float64, error) {
-			res, err := workload.RunFanIn(workload.FanInConfig{
-				Variant:          v,
-				Producers:        producers,
-				Consumers:        consumers,
-				ItemsPerProducer: items,
-				QueueSize:        size,
-				Layout:           core.LayoutPadded,
-				Instrument:       true,
-			})
-			if err != nil {
-				return 0, err
-			}
-			if res.Stats != nil {
-				agg = agg.Add(*res.Stats)
-			}
-			gaps += res.Gaps
-			return res.MopsPerSec(), nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		means[v] = sum.Mean
-		params := map[string]any{
-			"variant":            v.String(),
-			"producers":          producers,
-			"consumers":          consumers,
-			"queue_size":         size,
-			"runs":               o.Runs,
-			"items_per_producer": items,
-		}
-		if v == workload.VariantSharded {
-			params["lanes"] = producers + 1
-			params["lane_depth"] = size
-		}
-		metrics := map[string]float64{
-			"mops_per_sec_mean":   sum.Mean,
-			"mops_per_sec_stddev": sum.Stddev,
-			"mops_per_sec_min":    sum.Min,
-			"mops_per_sec_max":    sum.Max,
-			"gaps_total":          float64(gaps),
-		}
-		if v == workload.VariantSharded && means[workload.VariantMPMC] > 0 {
-			metrics["speedup_vs_mpmc"] = sum.Mean / means[workload.VariantMPMC]
-		}
-		recs = append(recs, report.Record{
-			Name:      fmt.Sprintf("fanin/%s/p=%d/c=%d", v, producers, consumers),
-			Timestamp: time.Now(),
-			Params:    params,
-			Metrics:   metrics,
-			Queues: []report.QueueStats{{
-				Name:     "shared",
-				Capacity: size,
-				Stats:    agg,
-			}},
-		})
-	}
-	return recs, nil
-}
-
-// BrokerSweep measures the ffqd broker's end-to-end loopback
-// throughput across client auto-batch sizes: each point publishes the
-// same message volume through one topic with the client's MaxBatch set
-// to the given batch size, so the sweep isolates what frame batching
-// buys on the wire path (one frame = one arena copy, one ingress slot
-// and one contiguous EnqueueBatch rank reservation, whatever the batch
-// size). This is the exporter behind `ffq-micro -broker -json`.
-func BrokerSweep(o Options, transport string, producers, consumers int, batches []int) ([]report.Record, error) {
-	o.fill()
-	if producers < 1 {
-		producers = 1
-	}
-	if consumers < 1 {
-		consumers = 1
-	}
-	if len(batches) == 0 {
-		batches = []int{1, 8, 64}
-	}
-	msgs := harness.ScaleInt(200_000, o.Scale, 2000)
-	var recs []report.Record
-	for _, batch := range batches {
-		sum, err := harness.RepeatErr(o.Runs, func() (float64, error) {
-			res, err := workload.RunBroker(workload.BrokerConfig{
-				Transport:           transport,
-				Producers:           producers,
-				Consumers:           consumers,
-				MessagesPerProducer: msgs / producers,
-				MaxBatch:            batch,
-			})
-			if err != nil {
-				return 0, err
-			}
-			return res.MsgsPerSec(), nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		recs = append(recs, report.Record{
-			Name:      fmt.Sprintf("broker/%s/batch=%d", transport, batch),
-			Timestamp: time.Now(),
-			Params: map[string]any{
-				"transport":             transport,
-				"producers":             producers,
-				"consumers":             consumers,
-				"batch":                 batch,
-				"runs":                  o.Runs,
-				"messages_per_producer": msgs / producers,
-			},
-			Metrics: map[string]float64{
-				"msgs_per_sec_mean":   sum.Mean,
-				"msgs_per_sec_stddev": sum.Stddev,
-				"msgs_per_sec_min":    sum.Min,
-				"msgs_per_sec_max":    sum.Max,
-			},
-		})
-	}
-	return recs, nil
 }

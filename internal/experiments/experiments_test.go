@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"ffq/internal/affinity"
-	"ffq/internal/workload"
 )
 
 // micro returns per-test options small enough for CI.
@@ -173,159 +172,5 @@ func TestPairsLatencyShape(t *testing.T) {
 	}
 	if len(tbl.Columns) != 5 {
 		t.Fatalf("columns = %v", tbl.Columns)
-	}
-}
-
-func TestStatsSweep(t *testing.T) {
-	o := QuickOptions()
-	o.Runs = 1
-	o.MinSizeExp = 6
-	o.MaxSizeExp = 7
-	recs, err := StatsSweep(o, workload.VariantSPMC, 1, 2, 1, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 2 {
-		t.Fatalf("got %d records, want 2", len(recs))
-	}
-	for _, r := range recs {
-		if len(r.Queues) != 1 || r.Queues[0].Name != "submission" {
-			t.Fatalf("record %q has no submission queue stats: %+v", r.Name, r.Queues)
-		}
-		if r.Queues[0].Enqueues == 0 || r.Queues[0].Dequeues == 0 {
-			t.Fatalf("record %q has zero op counters: %+v", r.Name, r.Queues[0].Stats)
-		}
-		if r.Metrics["mops_per_sec_mean"] <= 0 {
-			t.Fatalf("record %q has no throughput metric", r.Name)
-		}
-	}
-}
-
-// TestStatsSweepLatency: latency mode adds the sojourn and per-op
-// percentile metrics to every record, and a plain sweep carries none
-// of them.
-func TestStatsSweepLatency(t *testing.T) {
-	o := QuickOptions()
-	o.Runs = 1
-	o.MinSizeExp = 6
-	o.MaxSizeExp = 6
-	recs, err := StatsSweep(o, workload.VariantSPMC, 1, 1, 1, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 1 {
-		t.Fatalf("got %d records, want 1", len(recs))
-	}
-	r := recs[0]
-	for _, key := range []string{
-		"sojourn_p50_ns", "sojourn_p999_ns", "sojourn_max_ns", "sojourn_count",
-		"enq_p99_ns", "deq_p99_ns", "enq_mean_ns", "deq_mean_ns",
-	} {
-		if r.Metrics[key] <= 0 {
-			t.Errorf("latency metric %q missing or zero: %v", key, r.Metrics)
-		}
-	}
-	if r.Metrics["sojourn_p50_ns"] > r.Metrics["sojourn_p999_ns"] {
-		t.Errorf("inverted sojourn percentiles: %v", r.Metrics)
-	}
-	if r.Params["measure_latency"] != true {
-		t.Errorf("measure_latency param missing: %v", r.Params)
-	}
-
-	plain, err := StatsSweep(o, workload.VariantSPMC, 1, 1, 1, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := plain[0].Metrics["sojourn_p50_ns"]; ok {
-		t.Error("plain sweep leaked latency metrics")
-	}
-}
-
-// TestStatsSweepBatch: the sharded variant sweeps with a batch size
-// and the records carry the batch histogram of its native batch
-// operations.
-func TestStatsSweepBatch(t *testing.T) {
-	o := QuickOptions()
-	o.Runs = 1
-	o.MinSizeExp = 6
-	o.MaxSizeExp = 6
-	recs, err := StatsSweep(o, workload.VariantSharded, 1, 2, 8, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 1 {
-		t.Fatalf("got %d records, want 1", len(recs))
-	}
-	r := recs[0]
-	if r.Params["batch"] != 8 {
-		t.Fatalf("batch param missing: %+v", r.Params)
-	}
-	if !strings.Contains(r.Name, "/batch=8") {
-		t.Fatalf("record name %q lacks batch suffix", r.Name)
-	}
-	qs := r.Queues[0]
-	if qs.BatchCount == 0 || qs.BatchSumItems == 0 {
-		t.Fatalf("batch counters missing: %+v", qs.Stats)
-	}
-}
-
-// TestStatsSweepSharded: the sharded variant sweeps the producer-count
-// axis on one shared queue and the records carry the lane layout.
-func TestStatsSweepSharded(t *testing.T) {
-	o := QuickOptions()
-	o.Runs = 1
-	o.MinSizeExp = 6
-	o.MaxSizeExp = 6
-	recs, err := StatsSweep(o, workload.VariantSharded, 3, 1, 1, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 1 {
-		t.Fatalf("got %d records, want 1", len(recs))
-	}
-	r := recs[0]
-	if !strings.Contains(r.Name, "/p=3") {
-		t.Fatalf("record name %q lacks producer suffix", r.Name)
-	}
-	if r.Params["producers"] != 3 || r.Params["lanes"] != 4 || r.Params["lane_depth"] != 64 {
-		t.Fatalf("lane params missing: %+v", r.Params)
-	}
-	if r.Metrics["mops_per_sec_mean"] <= 0 {
-		t.Fatalf("record %q has no throughput metric", r.Name)
-	}
-	if r.Queues[0].Dequeues == 0 {
-		t.Fatalf("record %q has zero dequeues: %+v", r.Name, r.Queues[0].Stats)
-	}
-}
-
-// TestShardedVsMPMC: the fan-in comparison emits one record per
-// variant and the sharded record carries the speedup ratio.
-func TestShardedVsMPMC(t *testing.T) {
-	o := QuickOptions()
-	o.Runs = 1
-	recs, err := ShardedVsMPMC(o, 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 2 {
-		t.Fatalf("got %d records, want 2", len(recs))
-	}
-	if !strings.Contains(recs[0].Name, "fanin/mpmc") || !strings.Contains(recs[1].Name, "fanin/sharded") {
-		t.Fatalf("unexpected record names %q, %q", recs[0].Name, recs[1].Name)
-	}
-	for _, r := range recs {
-		if r.Metrics["mops_per_sec_mean"] <= 0 {
-			t.Fatalf("record %q has no throughput metric", r.Name)
-		}
-		if r.Queues[0].Dequeues == 0 {
-			t.Fatalf("record %q has zero dequeues: %+v", r.Name, r.Queues[0].Stats)
-		}
-	}
-	sharded := recs[1]
-	if sharded.Metrics["speedup_vs_mpmc"] <= 0 {
-		t.Fatalf("sharded record lacks speedup metric: %+v", sharded.Metrics)
-	}
-	if sharded.Params["lanes"] != 3 || sharded.Params["lane_depth"] != 1<<12 {
-		t.Fatalf("sharded record lacks lane params: %+v", sharded.Params)
 	}
 }

@@ -476,8 +476,8 @@ func (s Stats) Sub(prev Stats) Stats {
 	return d
 }
 
-// cloneLatency deep-copies a snapshot so Sub/Add on Stats values never
-// mutate the operands' shared bucket slices. Nil stays nil.
+// cloneLatency deep-copies a snapshot so Sub on a Stats value never
+// mutates the operands' shared bucket slices. Nil stays nil.
 func cloneLatency(s *LatencySnapshot) *LatencySnapshot {
 	if s == nil {
 		return nil
@@ -500,63 +500,6 @@ func subBuckets(cur, prev []int64, n int) []int64 {
 		}
 	}
 	return d
-}
-
-// addBuckets sums two bucket slices, tolerating either being absent.
-func addBuckets(a, b []int64, n int) []int64 {
-	if len(a) != n && len(b) != n {
-		return nil
-	}
-	t := make([]int64, n)
-	for i := range t {
-		if len(a) == n {
-			t[i] += a[i]
-		}
-		if len(b) == n {
-			t[i] += b[i]
-		}
-	}
-	return t
-}
-
-// Add returns s + o counter-wise, for aggregating per-queue snapshots
-// into pool totals.
-func (s Stats) Add(o Stats) Stats {
-	t := Stats{
-		Enqueues:       s.Enqueues + o.Enqueues,
-		Dequeues:       s.Dequeues + o.Dequeues,
-		FullSpins:      s.FullSpins + o.FullSpins,
-		EmptySpins:     s.EmptySpins + o.EmptySpins,
-		ProducerYields: s.ProducerYields + o.ProducerYields,
-		ConsumerYields: s.ConsumerYields + o.ConsumerYields,
-		GapsCreated:    s.GapsCreated + o.GapsCreated,
-		GapsSkipped:    s.GapsSkipped + o.GapsSkipped,
-		WaitCount:      s.WaitCount + o.WaitCount,
-		WaitSumNS:      s.WaitSumNS + o.WaitSumNS,
-		BatchCount:     s.BatchCount + o.BatchCount,
-		BatchSumItems:  s.BatchSumItems + o.BatchSumItems,
-
-		StallEvents: s.StallEvents + o.StallEvents,
-		StallCount:  s.StallCount + o.StallCount,
-		StallSumNS:  s.StallSumNS + o.StallSumNS,
-	}
-	t.StallThresholdNS = s.StallThresholdNS
-	if t.StallThresholdNS == 0 {
-		t.StallThresholdNS = o.StallThresholdNS
-	}
-	t.RecentStalls = append(append([]StallEvent(nil), s.RecentStalls...), o.RecentStalls...)
-	if len(t.RecentStalls) > DefaultStallRing {
-		t.RecentStalls = t.RecentStalls[:DefaultStallRing]
-	}
-	if len(t.RecentStalls) == 0 {
-		t.RecentStalls = nil
-	}
-	t.WaitBuckets = addBuckets(s.WaitBuckets, o.WaitBuckets, HistBuckets)
-	t.BatchBuckets = addBuckets(s.BatchBuckets, o.BatchBuckets, BatchHistBuckets)
-	t.StallBuckets = addBuckets(s.StallBuckets, o.StallBuckets, HistBuckets)
-	t.EnqLatency = cloneLatency(s.EnqLatency).Add(o.EnqLatency)
-	t.DeqLatency = cloneLatency(s.DeqLatency).Add(o.DeqLatency)
-	return t
 }
 
 // SpinRatio returns spin iterations (both sides) per completed

@@ -117,11 +117,6 @@ func TestSubAndAdd(t *testing.T) {
 	if d.WaitBuckets[bucketOf(10)] != 1 {
 		t.Fatalf("Sub bucket wrong: %v", d.WaitBuckets[bucketOf(10)])
 	}
-	sum := a.Add(d)
-	if sum.Enqueues != b.Enqueues || sum.WaitCount != b.WaitCount ||
-		sum.WaitBuckets[bucketOf(10)] != b.WaitBuckets[bucketOf(10)] {
-		t.Fatalf("Add(Sub) does not invert: %+v vs %+v", sum, b)
-	}
 }
 
 func TestObserveBatch(t *testing.T) {
@@ -157,10 +152,6 @@ func TestBatchSubAdd(t *testing.T) {
 	d := b.Sub(a)
 	if d.BatchCount != 2 || d.BatchSumItems != 32 {
 		t.Fatalf("Sub wrong: %+v", d)
-	}
-	sum := a.Add(b)
-	if sum.BatchCount != 4 || sum.BatchSumItems != 48 {
-		t.Fatalf("Add wrong: %+v", sum)
 	}
 }
 

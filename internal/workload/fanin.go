@@ -60,6 +60,10 @@ func (r FanInResult) MopsPerSec() float64 {
 	return float64(r.Items) / r.Elapsed.Seconds() / 1e6
 }
 
+// shardedSeqBits is the value-encoding split of fan-in items: low
+// bits carry the sequence number, high bits the producer index.
+const shardedSeqBits = 48
+
 // fanInQueue is the face the two variants share: a per-producer
 // enqueue function, the pooled dequeue, and close-after-producers.
 type fanInQueue interface {

@@ -51,32 +51,6 @@ func TestRunMicroLatencyMode(t *testing.T) {
 	}
 }
 
-// TestRunMicroLatencySharded checks latency mode on the sharded
-// variant: items carry the producer tag in their high bits, so there is
-// no sojourn stamp — but the recorder's per-op histograms still work.
-func TestRunMicroLatencySharded(t *testing.T) {
-	res, err := RunMicro(MicroConfig{
-		Variant:              VariantSharded,
-		Producers:            2,
-		ConsumersPerProducer: 1,
-		ItemsPerProducer:     1000,
-		QueueSize:            1 << 8,
-		MeasureLatency:       true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Sojourn != nil {
-		t.Fatal("sharded variant cannot stamp items, Sojourn should be nil")
-	}
-	if res.Stats == nil || res.Stats.EnqLatency == nil || res.Stats.DeqLatency == nil {
-		t.Fatalf("per-op latency snapshots missing: %+v", res.Stats)
-	}
-	if res.Stats.DeqLatency.Count != int64(res.Items) {
-		t.Fatalf("deq latency count = %d, want %d", res.Stats.DeqLatency.Count, res.Items)
-	}
-}
-
 // tailGate is the p999 sojourn bound the stalled run must trip. The
 // injected disturbance stops the only consumer for ~500us several
 // times, so roughly a flow-control window of items per stall waits the

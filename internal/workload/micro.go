@@ -24,16 +24,9 @@ const (
 	VariantSPMC Variant = iota
 	// VariantMPMC uses FFQ^m (the configuration of Figure 2).
 	VariantMPMC
-	// VariantSPSC uses the SPSC queue; requires exactly one consumer
-	// per producer.
-	VariantSPSC
-	// VariantSharded uses one shared core.Sharded queue for ALL
-	// producers (per-producer FFQ^s lanes, one exclusive lane handle
-	// each) with a single consumer pool of
-	// Producers*ConsumersPerProducer workers — unlike the other
-	// variants, which give each producer its own queue. QueueSize is
-	// the per-lane capacity; RespQueueSize is ignored (the response
-	// plane is sized from the outstanding window).
+	// VariantSharded is one shared core.Sharded queue with an
+	// exclusive FFQ^s lane per producer. Only RunFanIn accepts it; the
+	// microbenchmark gives each producer its own queue.
 	VariantSharded
 )
 
@@ -44,8 +37,6 @@ func (v Variant) String() string {
 		return "spmc"
 	case VariantMPMC:
 		return "mpmc"
-	case VariantSPSC:
-		return "spsc"
 	case VariantSharded:
 		return "sharded"
 	default:
@@ -72,15 +63,6 @@ type MicroConfig struct {
 	ItemsPerProducer int
 	// QueueSize is the submission queue capacity (power of two).
 	QueueSize int
-	// Batch > 1 moves items through the submission queue in batches of
-	// that size. VariantSharded uses its native
-	// EnqueueBatch/DequeueBatch; the other variants loop singles on the
-	// enqueue side and stay single-item on the dequeue side (a
-	// consumer holding a partial batch would deadlock the round-trip).
-	// ItemsPerProducer is rounded up to a multiple of the batch so
-	// every blocking batch claim can be filled. 0 or 1 means
-	// single-item operations.
-	Batch int
 	// RespQueueSize is the response queue capacity (defaults to
 	// QueueSize when 0; always at least 2).
 	RespQueueSize int
@@ -88,21 +70,16 @@ type MicroConfig struct {
 	Policy affinity.Policy
 	// Topology used for placement (Detect() when nil).
 	Topology *affinity.Topology
-	// Instrument attaches one shared obs.Recorder to every submission
-	// queue; the aggregate snapshot is returned in MicroResult.Stats.
+	// MeasureLatency switches the run into latency mode: one shared
+	// obs.Recorder with per-op latency histograms is attached to every
+	// submission queue (Stats.EnqLatency/DeqLatency), and each item is
+	// stamped with its submission time so the queue sojourn (enqueue
+	// start to dequeue completion) is recorded into MicroResult.Sojourn.
 	// Off by default so throughput runs measure the uninstrumented
 	// fast path.
-	Instrument bool
-	// MeasureLatency switches the run into latency mode: it implies
-	// Instrument, enables per-op latency histograms on the recorder
-	// (Stats.EnqLatency/DeqLatency), and — for every variant except
-	// VariantSharded, whose items carry the producer index in their
-	// high bits — stamps each item with its submission time so the
-	// queue sojourn (enqueue start to dequeue completion) is recorded
-	// into MicroResult.Sojourn.
 	MeasureLatency bool
-	// StallThreshold arms the recorder's stall watchdog (implies
-	// Instrument); waits longer than this surface in
+	// StallThreshold attaches the recorder with its stall watchdog
+	// armed; waits longer than this surface in
 	// Stats.StallEvents/RecentStalls.
 	StallThreshold time.Duration
 	// StallEvery injects an artificial stall on the first consumer of
@@ -127,18 +104,13 @@ type MicroResult struct {
 	// Elapsed is the wall time of the parallel phase.
 	Elapsed time.Duration
 	// Stats aggregates the submission queues' instrumentation
-	// counters; nil unless MicroConfig.Instrument (or a latency-mode
-	// field that implies it) was set.
+	// counters; nil unless MicroConfig.MeasureLatency or
+	// StallThreshold was set.
 	Stats *obs.Stats
 	// Sojourn is the end-to-end submission-queue sojourn distribution
 	// (item stamped at enqueue start, recorded at dequeue completion);
-	// nil unless MicroConfig.MeasureLatency was set on a non-sharded
-	// variant.
+	// nil unless MicroConfig.MeasureLatency was set.
 	Sojourn *obs.LatencySnapshot
-	// Lanes and LaneCap describe the shared queue's shard layout;
-	// zero except for VariantSharded.
-	Lanes   int
-	LaneCap int
 	// Stalled is the measured wall time of the injected StallEvery
 	// stalls, summed, so a gate can compare throughput net of the
 	// disturbance it injected.
@@ -187,12 +159,6 @@ func (s mpmcSub) enqueue(v uint64)        { s.q.Enqueue(v) }
 func (s mpmcSub) dequeue() (uint64, bool) { return s.q.Dequeue() }
 func (s mpmcSub) close()                  { s.q.Close() }
 
-type spscSub struct{ q *core.SPSC[uint64] }
-
-func (s spscSub) enqueue(v uint64)        { s.q.Enqueue(v) }
-func (s spscSub) dequeue() (uint64, bool) { return s.q.Dequeue() }
-func (s spscSub) close()                  { s.q.Close() }
-
 func newSubmission(cfg MicroConfig, rec *obs.Recorder) (submission, error) {
 	opts := []core.Option{core.WithLayout(cfg.Layout), core.WithRecorder(rec)}
 	switch cfg.Variant {
@@ -202,14 +168,8 @@ func newSubmission(cfg MicroConfig, rec *obs.Recorder) (submission, error) {
 	case VariantMPMC:
 		q, err := core.NewMPMC[uint64](cfg.QueueSize, opts...)
 		return mpmcSub{q}, err
-	case VariantSPSC:
-		if cfg.ConsumersPerProducer != 1 {
-			return nil, fmt.Errorf("workload: SPSC variant requires exactly 1 consumer, got %d", cfg.ConsumersPerProducer)
-		}
-		q, err := core.NewSPSC[uint64](cfg.QueueSize, opts...)
-		return spscSub{q}, err
 	default:
-		return nil, fmt.Errorf("workload: unknown variant %v", cfg.Variant)
+		return nil, fmt.Errorf("workload: RunMicro runs spmc and mpmc, not %v", cfg.Variant)
 	}
 }
 
@@ -236,7 +196,7 @@ func RunMicro(cfg MicroConfig) (MicroResult, error) {
 		cfg.StallDuration = DefaultStallDuration
 	}
 	var rec *obs.Recorder
-	if cfg.Instrument || cfg.MeasureLatency || cfg.StallThreshold > 0 {
+	if cfg.MeasureLatency || cfg.StallThreshold > 0 {
 		rec = obs.NewRecorder()
 		if cfg.MeasureLatency {
 			rec.EnableOpLatency()
@@ -244,10 +204,6 @@ func RunMicro(cfg MicroConfig) (MicroResult, error) {
 		if cfg.StallThreshold > 0 {
 			rec.EnableStallWatchdog(cfg.StallThreshold, 0)
 		}
-	}
-
-	if cfg.Variant == VariantSharded {
-		return runMicroSharded(cfg, top, rec)
 	}
 
 	// Latency mode replaces the item payload with the submission
@@ -294,21 +250,6 @@ func RunMicro(cfg MicroConfig) (MicroResult, error) {
 		maxOutstanding = 1
 	}
 
-	// Batch mode. The producer sends whole batches only, so its
-	// outstanding allowance must cover at least one batch and the item
-	// count must divide into whole batches: clamp and round
-	// accordingly.
-	batch := cfg.Batch
-	if batch < 1 {
-		batch = 1
-	}
-	if batch > maxOutstanding {
-		batch = maxOutstanding
-	}
-	if rem := cfg.ItemsPerProducer % batch; rem != 0 {
-		cfg.ItemsPerProducer += batch - rem
-	}
-
 	for p, st := range states {
 		asn := top.Assign(cfg.Policy, p)
 		// Consumers.
@@ -335,13 +276,6 @@ func RunMicro(cfg MicroConfig) (MicroResult, error) {
 					if c == 0 {
 						stallN = cfg.StallEvery
 					}
-					// Consumers dequeue one item at a time even in batch
-					// mode: the bounded queues have no contiguous-run
-					// claim, so filling a multi-item buffer could strand
-					// already-dequeued items here while the producer waits
-					// for their responses before sending more (deadlock
-					// whenever >1 consumer splits the final items
-					// unevenly).
 					processed := 0
 					for {
 						v, ok := st.sub.dequeue()
@@ -377,39 +311,15 @@ func RunMicro(cfg MicroConfig) (MicroResult, error) {
 				ready.Done()
 				<-start
 				sent, received, outstanding := 0, 0, 0
-				var batchBuf []uint64
-				if batch > 1 {
-					batchBuf = make([]uint64, batch)
-				}
 				for received < cfg.ItemsPerProducer {
-					if batch > 1 {
-						for sent < cfg.ItemsPerProducer && outstanding+batch <= maxOutstanding {
-							if sojourn != nil {
-								now := uint64(time.Now().UnixNano())
-								for i := range batchBuf {
-									batchBuf[i] = now
-								}
-							} else {
-								for i := range batchBuf {
-									batchBuf[i] = uint64(sent + i + 1)
-								}
-							}
-							for _, v := range batchBuf {
-								st.sub.enqueue(v)
-							}
-							sent += batch
-							outstanding += batch
+					for sent < cfg.ItemsPerProducer && outstanding < maxOutstanding {
+						if sojourn != nil {
+							st.sub.enqueue(uint64(time.Now().UnixNano()))
+						} else {
+							st.sub.enqueue(uint64(sent + 1))
 						}
-					} else {
-						for sent < cfg.ItemsPerProducer && outstanding < maxOutstanding {
-							if sojourn != nil {
-								st.sub.enqueue(uint64(time.Now().UnixNano()))
-							} else {
-								st.sub.enqueue(uint64(sent + 1))
-							}
-							sent++
-							outstanding++
-						}
+						sent++
+						outstanding++
 					}
 					drained := false
 					for _, rq := range st.resps {
